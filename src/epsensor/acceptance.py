@@ -230,7 +230,7 @@ def criterion_8_conservation_suite():
     t = 2.0 * np.pi / collective_rate(lossy)
     channels = {
         "exact evolution": evolve(state0, propagator(cfg, 1.7)),
-        "lossy evolution": evolve_lossy(state0, lossy, t, rtol=1e-8),
+        "lossy evolution": evolve_lossy(state0, lossy, t),
         "readout swap": readout_swap(evolve(state0, propagator(cfg, 1.7)), np.pi / 3),
         "external loss": apply_external_loss(
             evolve(state0, propagator(cfg, 1.7)), 0.7),

@@ -1,12 +1,11 @@
 """Command-line front end.
 
     epsensor run SCENARIO [SCENARIO ...] [--out DIR] [--format csv|json]
-                 [--jobs K] [--seed N]
+                 [--jobs K]
     epsensor accept [--out DIR] [--only IDS]
 
 Exit codes: 0 success, 1 acceptance criteria failed, 2 configuration error,
-3 numerical error. `--seed` is reserved for future stochastic features; all
-current computations are deterministic and the value is only recorded.
+3 numerical error.
 """
 
 import argparse
@@ -38,8 +37,6 @@ def _build_parser():
                       help="override the scenario's output format")
     runp.add_argument("--jobs", type=int, default=1,
                       help="run up to K scenarios concurrently")
-    runp.add_argument("--seed", type=int, default=None,
-                      help="reserved; recorded in the summary only")
 
     accp = sub.add_parser("accept", help="run the acceptance suite")
     accp.add_argument("--out", default=".", help="directory for the JSON report")
@@ -64,8 +61,6 @@ def _cmd_run(args):
         tail = "".join(f" {k}={v}" for k, v in sorted(extras.items()))
         print(f"ok {res['name']} [{res['experiment']}] rows={res['rows']} "
               f"-> {res['output']}{tail}")
-    if args.seed is not None:
-        print(f"seed={args.seed} (recorded; computations are deterministic)")
     return EXIT_OK
 
 

@@ -1,5 +1,6 @@
-"""Gaussian-state dynamics: symplectic propagators, lossy moment evolution,
-passive channels, and the two-mode passive-squeeze-passive decomposition.
+"""Gaussian-state dynamics: exact affine propagators (with and without
+losses), passive channels, and the two-mode passive-squeeze-passive
+decomposition.
 
 Quadrature convention: X = (b + b^+)/sqrt(2), P = (b - b^+)/(i sqrt(2)),
 so a vacuum or coherent state has covariance I/2 and var(X1 - X2) = 1.
@@ -11,8 +12,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.linalg import expm
 
-from .config import (ConfigurationError, NumericalError, RegimeError,
-                     collective_rate)
+from .config import ConfigurationError, NumericalError
 from .model import build_system, reduced_mode_kinds
 from .spectral import eigensolve
 
@@ -81,10 +81,13 @@ class GaussianState:
 
 @dataclass(frozen=True)
 class Propagator:
-    """Reduced-basis operator propagator K and the real quadrature map S_quad."""
+    """Reduced-basis operator propagator K, the real quadrature map S_quad
+    and the covariance Q added by vacuum-input diffusion (zero when the
+    configuration is lossless)."""
 
     K: np.ndarray
     S_quad: np.ndarray
+    Q: np.ndarray
     t: float
     method: str                  # "eigen" or "expm"
     condition_number: float
@@ -161,7 +164,9 @@ COND_SWITCH = 1e8
 
 
 def propagator(config, t, method="auto"):
-    """Reduced propagator K(t) = exp(-i h t) and its quadrature map.
+    """Exact affine Gaussian map over time t: K(t) = exp(-i h t), its
+    quadrature map S and the diffusion covariance
+    Q(t) = int_0^t S(s) D S(s)^T ds of a lossy configuration.
 
     Uses the eigen-decomposition when the eigenvector matrix is well enough
     conditioned and falls back to scaling-and-squaring expm near exceptional
@@ -170,35 +175,64 @@ def propagator(config, t, method="auto"):
     h = build_system(config).reduced
     kinds = reduced_mode_kinds(config)
     cond = np.inf
-    used = "expm"
-    K = None
+    K, used = None, "expm"
     if method in ("auto", "eigen"):
         spec = eigensolve(config)
         V = spec.right_vectors
         cond = float(np.linalg.cond(V))
         if method == "eigen" or cond < COND_SWITCH:
-            phases = np.exp(-1j * spec.eigenvalues * t)
-            K = V @ np.diag(phases) @ np.linalg.inv(V)
+            Vinv = np.linalg.inv(V)
+            K = V @ np.diag(np.exp(-1j * spec.eigenvalues * t)) @ Vinv
             used = "eigen"
-    if K is None or method == "expm":
+    if K is None:
         K = expm(-1j * h * t)
-        used = "expm"
-    return Propagator(K=K, S_quad=operator_to_quadrature(K, kinds), t=float(t),
-                      method=used, condition_number=cond)
+    S = operator_to_quadrature(K, kinds)
+    if config.lossless:
+        Q = np.zeros_like(S)
+    elif used == "eigen":
+        Q = _eigen_diffusion(config, kinds, V, Vinv, spec.eigenvalues, t)
+    else:
+        Q = _van_loan_diffusion(config, t)
+    return Propagator(K=K, S_quad=S, Q=Q, t=float(t), method=used,
+                      condition_number=cond)
+
+
+def _eigen_diffusion(config, kinds, V, Vinv, eigenvalues, t):
+    """Q = W Qt W^T in the drift eigenbasis W = T lift(V), whose eigenvalues
+    are -i lambda on the reduced slots and i conj(lambda) on their partners:
+    Qt_ij = Dt_ij (e^{(l_i+l_j) t} - 1)/(l_i+l_j), with the limit t where
+    l_i + l_j = 0, and Dt = W^-1 D W^-T (Van Loan, IEEE TAC 23:395, 1978)."""
+    D = _diffusion(config)
+    T = np.kron(np.eye(config.n), _T2)
+    W = T @ _lift_to_full(V, kinds)
+    Winv = _lift_to_full(Vinv, kinds) @ T.conj().T
+    rates = np.diag(_lift_to_full(np.diag(-1j * eigenvalues), kinds))
+    s = rates[:, None] + rates[None, :]
+    F = np.full(s.shape, float(t), dtype=complex)
+    nz = s != 0
+    F[nz] = np.expm1(s[nz] * t) / s[nz]
+    return (W @ ((Winv @ D @ Winv.T) * F) @ W.T).real
+
+
+def _van_loan_diffusion(config, t):
+    """Q = F22^T F12 from expm([[-A, D], [0, A^T]] t) = [[F11, F12], [0, F22]]."""
+    A, D = drift_and_diffusion(config)
+    m = len(A)
+    F = expm(np.block([[-A, D], [np.zeros_like(A), A.T]]) * t)
+    return F[m:, m:].T @ F[:m, m:]
 
 
 def evolve(state, prop):
-    """Affine symplectic update mu -> S mu, cov -> S cov S^T."""
-    S = prop.S_quad if isinstance(prop, Propagator) else np.asarray(prop)
+    """Affine Gaussian update mu -> S mu, cov -> S cov S^T + Q (a bare
+    matrix S acts as a propagator with Q = 0 and t = 0)."""
+    S, Q, dt = ((prop.S_quad, prop.Q, prop.t) if isinstance(prop, Propagator)
+                else (np.asarray(prop), 0.0, 0.0))
     if S.shape != (len(state.mu), len(state.mu)):
         raise ConfigurationError(
             f"propagator dimension {S.shape} does not match state ({len(state.mu)})")
-    t = state.time + (prop.t if isinstance(prop, Propagator) else 0.0)
-    return replace(state, mu=S @ state.mu, cov=S @ state.cov @ S.T, time=t)
+    return replace(state, mu=S @ state.mu, cov=S @ state.cov @ S.T + Q,
+                   time=state.time + dt)
 
-
-# ---------------------------------------------------------------------------
-# lossy moment evolution
 
 def drift_and_diffusion(config):
     """Quadrature drift A (incl. decay) and the vacuum-input diffusion D.
@@ -214,76 +248,22 @@ def drift_and_diffusion(config):
     G = T @ _lift_to_full(-1j * h, kinds) @ T.conj().T
     if np.abs(G.imag).max() > 1e-12 * max(1.0, np.abs(G.real).max()):
         raise NumericalError("drift matrix is not real")
-    rates = [config.Gamma] * (n - 1) + [config.gamma]
-    D = np.kron(np.diag(rates), np.eye(2))
-    return G.real, D
+    return G.real, _diffusion(config)
 
 
-def _rk4_pass(mu, cov, A, D, t, steps):
-    h = t / steps
-    for _ in range(steps):
-        k1m = A @ mu
-        k1c = A @ cov + cov @ A.T + D
-        m2, c2 = mu + 0.5 * h * k1m, cov + 0.5 * h * k1c
-        k2m = A @ m2
-        k2c = A @ c2 + c2 @ A.T + D
-        m3, c3 = mu + 0.5 * h * k2m, cov + 0.5 * h * k2c
-        k3m = A @ m3
-        k3c = A @ c3 + c3 @ A.T + D
-        m4, c4 = mu + h * k3m, cov + h * k3c
-        k4m = A @ m4
-        k4c = A @ c4 + c4 @ A.T + D
-        mu = mu + h / 6.0 * (k1m + 2 * k2m + 2 * k3m + k4m)
-        cov = cov + h / 6.0 * (k1c + 2 * k2c + 2 * k3c + k4c)
-    return mu, cov
+def _diffusion(config):
+    rates = [config.Gamma] * (config.n - 1) + [config.gamma]
+    return np.kron(np.diag(rates), np.eye(2))
 
 
-def _base_steps(config, t):
-    try:
-        period = 2.0 * np.pi / collective_rate(config)
-    except (ConfigurationError, RegimeError):
-        h = build_system(config).reduced
-        period = 2.0 * np.pi / max(float(np.abs(h).max()), 1e-6)
-    h0 = min(period, 1.0 / max(config.gamma, config.Gamma, 1.0)) / 200.0
-    return max(int(np.ceil(abs(t) / h0)), 8)
+def evolve_lossy(state, config, t):
+    """State after time t under decay and vacuum-input diffusion."""
+    return evolve(state, propagator(config, t))
 
 
-def evolve_lossy(state, config, t, rtol=1e-9, max_halvings=8):
-    """Integrate d(mu)/dt = A mu, d(cov)/dt = A cov + cov A^T + D with
-    fixed-step RK4, halving the step until two successive passes agree to
-    rtol (Richardson-style convergence check).
-    """
-    if t == 0:
-        return state
-    A, D = drift_and_diffusion(config)
-    steps = _base_steps(config, t)
-    mu, cov = _rk4_pass(state.mu, state.cov, A, D, t, steps)
-    scale = max(1.0, float(np.abs(cov).max()), float(np.abs(mu).max()))
-    for _ in range(max_halvings):
-        steps *= 2
-        mu2, cov2 = _rk4_pass(state.mu, state.cov, A, D, t, steps)
-        err = max(np.abs(mu2 - mu).max(), np.abs(cov2 - cov).max())
-        mu, cov = mu2, cov2
-        scale = max(1.0, float(np.abs(cov).max()), float(np.abs(mu).max()))
-        if err < rtol * scale:
-            return replace(state, mu=mu, cov=cov, time=state.time + t)
-    raise NumericalError(
-        f"lossy integrator did not converge: {steps} steps, residual {err:.3e}, "
-        f"target {rtol * scale:.3e}")
-
-
-def evolve_lossy_trace(state, config, times, rtol=1e-9):
-    """States at an increasing sequence of times, one integration per leg."""
-    out = []
-    current = state
-    prev_t = 0.0
-    for t in times:
-        if t < prev_t:
-            raise ConfigurationError("trace times must be non-decreasing")
-        current = evolve_lossy(current, config, t - prev_t, rtol=rtol)
-        out.append(current)
-        prev_t = t
-    return out
+def evolve_lossy_trace(state, config, times):
+    """States at each of `times`, each propagated from `state`."""
+    return [evolve(state, propagator(config, t)) for t in times]
 
 
 # ---------------------------------------------------------------------------

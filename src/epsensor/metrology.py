@@ -19,10 +19,10 @@ import numpy as np
 
 from .config import (ConfigurationError, RegimeError, collective_rate,
                      ep3_sensor, ep4_system)
-from .gaussian import (apply_external_loss, coherent_init, evolve,
-                       evolve_lossy, evolve_lossy_trace, propagator,
+from .gaussian import (apply_external_loss, coherent_init, evolve, propagator,
                        total_excitation, two_mode_squeezer_coefficients)
 from .model import ep4_locus
+from .perturb import regime_ok
 from .spectral import eigensolve
 
 
@@ -124,11 +124,7 @@ def working_point_time(config, q=1):
 
 
 def _final_state(config, t, eta=None):
-    state = coherent_init(config)
-    if config.lossless:
-        state = evolve(state, propagator(config, t))
-    else:
-        state = evolve_lossy(state, config, t)
+    state = evolve(coherent_init(config), propagator(config, t))
     if eta is not None:
         n = config.n
         per_mode = [eta] * (n - 1) + [1.0]   # losses act on the measured magnons
@@ -140,7 +136,7 @@ def susceptibility(config, obs, t, method="fd", mode="same", step=1e-9, eta=None
     """|d<O>/d(eps)| at the configured perturbation offset.
 
     method "fd": central finite difference on the exact Gaussian evolution
-    (lossy evolution when decay rates are nonzero). method "analytic":
+    (with decay and diffusion when decay rates are nonzero). method "analytic":
     closed first-order forms for the lossless three-mode sensor at
     delta = 0 with amplitudes (i alpha, -i alpha), valid for the X1-X2 and
     X1+X2 observables in mode "same".
@@ -292,13 +288,8 @@ def peak_total_excitation(config, t, samples=256):
     (the documented N convention for SQL comparisons)."""
     times = np.linspace(0.0, t, samples + 1)[1:]
     state0 = coherent_init(config)
-    if config.lossless:
-        peak = total_excitation(state0)
-        for ti in times:
-            peak = max(peak, total_excitation(evolve(state0, propagator(config, ti))))
-        return peak
-    states = evolve_lossy_trace(state0, config, times, rtol=1e-8)
-    return max(total_excitation(state0), max(total_excitation(s) for s in states))
+    states = [state0] + [evolve(state0, propagator(config, ti)) for ti in times]
+    return max(total_excitation(s) for s in states)
 
 
 def db_ratio(reference, value):
@@ -310,7 +301,12 @@ def db_ratio(reference, value):
 def sensitivity(config, obs, t, mode="same", eta=None, fd_step=1e-9,
                 with_qfi=True, sql_samples=256):
     """Full working-point report: susceptibility, noise, delta_eps =
-    sqrt(noise)/susceptibility, Fisher bound, and SQL comparison."""
+    sqrt(noise)/susceptibility, Fisher bound, and SQL comparison.
+
+    valid_regime is true when the configured perturbation lies in the
+    first-order regime eps < 0.1 chi^3, with chi taken at eps = 0; it is
+    false where chi is undefined (at or beyond the exceptional point, or
+    not the three-mode sensor)."""
     s = susceptibility(config, obs, t, method="fd", mode=mode, step=fd_step, eta=eta)
     nz = noise_variance(config, obs, t, eta=eta)
     delta = float(np.sqrt(nz) / s) if s > 0 else np.inf
@@ -328,7 +324,7 @@ def sensitivity(config, obs, t, mode="same", eta=None, fd_step=1e-9,
         chi = collective_rate(config.with_perturbation(0.0))
     except (ConfigurationError, RegimeError):
         chi = np.nan
-    regime = bool(np.isnan(chi)) or fd_step < 0.1 * chi ** 3
+    regime = bool(np.isfinite(chi)) and regime_ok(*config.epsilon, chi)
     return SensitivityReport(
         g=config.g[0], kappa=config.kappa[0] if config.kappa else np.nan,
         alpha=abs(config.alpha[0]), gamma=config.gamma, Gamma=config.Gamma,

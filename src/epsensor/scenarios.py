@@ -20,8 +20,7 @@ import numpy as np
 
 from . import metrology
 from .config import ConfigurationError, SystemConfig, collective_rate
-from .gaussian import (coherent_init, evolve, evolve_lossy_trace,
-                       excitation_numbers, propagator)
+from .gaussian import coherent_init, evolve, excitation_numbers, propagator
 from .metrology import SensitivityReport, observable, sensitivity
 from .spectral import (coupling_shift, cubic_discriminant, eigensolve,
                        match_branches, puiseux_fit, same_detuning_shift,
@@ -143,10 +142,7 @@ def parse_scenario(text, name_hint="scenario"):
         diffs = np.diff(sweep_grid)
         if not (np.all(diffs > 0) or np.all(diffs < 0)):
             raise ConfigurationError("field 'sweep_grid': grid must be strictly monotone")
-    needs_sweep = experiment in ("spectrum_sweep", "discriminant_map", "puiseux",
-                                 "evolve_trace", "sensitivity_sweep", "qfi_trace",
-                                 "scaling", "loss_sweep")
-    if needs_sweep and not sweep_grid:
+    if not sweep_grid:
         raise ConfigurationError("field 'sweep_grid': required and non-empty")
     if experiment in ("spectrum_sweep", "discriminant_map", "sensitivity_sweep",
                       "loss_sweep"):
@@ -279,13 +275,8 @@ def _run_puiseux(scn):
             f"field 'perturbation': got {scn.perturbation!r}, "
             f"expected one of {sorted(_PERTURBATIONS)}")
     fit = puiseux_fit(scn.system, np.asarray(scn.sweep_grid), shift)
-    base = eigensolve(scn.system)
-    lam0 = base.eigenvalues[0]
     cols = ["eps", "splitting"]
-    rows = []
-    for eps in scn.sweep_grid:
-        spectrum = eigensolve(shift(scn.system, eps))
-        rows.append([eps, float(np.abs(spectrum.eigenvalues - lam0).max())])
+    rows = [[eps, float(v)] for eps, v in zip(scn.sweep_grid, fit.splittings)]
     summary = {"slope": fit.slope, "intercept": fit.intercept,
                "r_squared": fit.r_squared, "branch_prefactor": fit.branch_prefactor}
     return cols, rows, summary
@@ -298,11 +289,8 @@ def _run_evolve_trace(scn):
     cols = ["t", "mean_obs", "var_obs"] + [f"n{i + 1}" for i in range(n)] + ["n_total"]
     rows = []
     state0 = coherent_init(cfg)
-    if cfg.lossless:
-        states = [evolve(state0, propagator(cfg, t)) for t in scn.sweep_grid]
-    else:
-        states = evolve_lossy_trace(state0, cfg, scn.sweep_grid)
-    for t, st in zip(scn.sweep_grid, states):
+    for t in scn.sweep_grid:
+        st = evolve(state0, propagator(cfg, t))
         N = excitation_numbers(st)
         rows.append([t, obs.mean(st), obs.variance(st)] + list(N) + [float(N.sum())])
     return cols, rows, {"points": len(rows)}
@@ -356,21 +344,6 @@ def _run_scaling(scn):
                         "excluded": ",".join(fmt(x) for x in fit.excluded)}
 
 
-def _run_loss_sweep(scn):
-    cfg = scn.system
-    obs = observable(scn.observable, cfg.n)
-    cols = list(SensitivityReport.CSV_FIELDS)
-    rows = []
-    for value in scn.sweep_grid:
-        if scn.sweep_param == "eta":
-            t = resolve_time(scn, cfg)
-            rows.append(_sensitivity_row(cfg, obs, t, eta=float(value)))
-        else:
-            swept = apply_sweep_value(cfg, scn.sweep_param, value)
-            rows.append(_sensitivity_row(swept, obs, resolve_time(scn, swept)))
-    return cols, rows, {"points": len(rows)}
-
-
 _DRIVERS = {
     "spectrum_sweep": _run_spectrum_sweep,
     "discriminant_map": _run_discriminant_map,
@@ -379,7 +352,7 @@ _DRIVERS = {
     "sensitivity_sweep": _run_sensitivity_sweep,
     "qfi_trace": _run_qfi_trace,
     "scaling": _run_scaling,
-    "loss_sweep": _run_loss_sweep,
+    "loss_sweep": _run_sensitivity_sweep,
 }
 
 

@@ -51,6 +51,7 @@ class PuiseuxFit:
     r_squared: float
     eps_range: tuple
     branch_prefactor: float      # exp(intercept)
+    splittings: np.ndarray       # selected-branch |dlambda| per grid point
 
 
 # ---------------------------------------------------------------------------
@@ -490,7 +491,7 @@ def puiseux_fit(config, eps_grid, perturbation=same_detuning_shift,
     r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
     return PuiseuxFit(slope=float(slope), intercept=float(intercept), r_squared=r2,
                       eps_range=(float(eps_grid.min()), float(eps_grid.max())),
-                      branch_prefactor=float(np.exp(intercept)))
+                      branch_prefactor=float(np.exp(intercept)), splittings=values)
 
 
 def match_branches(reference, eigenvalues):

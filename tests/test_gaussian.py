@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -116,6 +117,37 @@ class TestEvolve:
             assert st.purity_det() == pytest.approx(1.0, abs=1e-8)
 
 
+def _mp_van_loan_state(cfg, t, dps=40):
+    """Mean and covariance at time t from coherent_init, in mpmath: the
+    quadrature drift A = T (-i H_full) T^+ of the full 2n x 2n dynamical
+    matrix, D = rate * I per mode, and mp.expm of the Van Loan block
+    [[-A, D], [0, A^T]] t = [[F11, F12], [0, F22]], so that the state map is
+    mu -> F22^T mu, cov -> F22^T cov F22 + F22^T F12."""
+    with mpmath.workdps(dps):
+        H = build_system(cfg).full
+        m = len(H)
+        r = 1 / mpmath.sqrt(2)
+        T = mpmath.zeros(m, m)
+        for k in range(0, m, 2):
+            T[k, k], T[k, k + 1] = r, r
+            T[k + 1, k], T[k + 1, k + 1] = -1j * r, 1j * r
+        A = T * (-1j * mpmath.matrix(H.tolist())) * T.H
+        rates = [cfg.Gamma] * (cfg.n - 1) + [cfg.gamma]
+        block = mpmath.zeros(2 * m, 2 * m)
+        for i in range(m):
+            for j in range(m):
+                block[i, j] = -mpmath.re(A[i, j])
+                block[m + i, m + j] = mpmath.re(A[j, i])
+            block[i, m + i] = rates[i // 2]
+        F = mpmath.expm(block * t)
+        Phi = F[m:, m:].T
+        state0 = coherent_init(cfg)
+        mu = Phi * mpmath.matrix(state0.mu.tolist())
+        cov = Phi * mpmath.matrix(state0.cov.tolist()) * Phi.T + Phi * F[:m, m:]
+        return (np.array(mu.tolist(), dtype=float).ravel(),
+                np.array(cov.tolist(), dtype=float))
+
+
 class TestLossyEvolution:
     def test_decoupled_vacuum_is_a_fixed_point(self):
         cfg = SystemConfig(n=3, m=1, g=[0.0], kappa=[0.0], Gamma=0.3,
@@ -146,13 +178,22 @@ class TestLossyEvolution:
                                 2 * np.pi / collective_rate(lossless))
         assert s_lossy < s_free
 
-    def test_halved_step_agrees(self):
-        lossy = ep3_sensor(0.95, alpha=2.0, gamma=0.1, Gamma=0.01)
-        t = 2 * np.pi / collective_rate(lossy)
-        a = evolve_lossy(coherent_init(lossy), lossy, t, rtol=1e-8)
-        b = evolve_lossy(coherent_init(lossy), lossy, t, rtol=1e-10)
-        scale = np.abs(b.cov).max()
-        assert np.abs(a.cov - b.cov).max() < 1e-6 * scale
+    @pytest.mark.parametrize("g, Gamma", [
+        (0.95, 0.01),
+        (0.95, 0.0),      # undamped dark mode: l_i + l_j = 0 in the Van Loan sum
+        (0.998, 0.01),    # cond(V) ~ 1.2e3 at t = 2 pi / chi ~ 141.5
+    ])
+    def test_matches_mpmath_van_loan_reference(self, g, Gamma):
+        cfg = ep3_sensor(g, alpha=2.0, gamma=0.1, Gamma=Gamma)
+        t = 2 * np.pi / collective_rate(cfg)
+        mu, cov = _mp_van_loan_state(cfg, t)
+        out = evolve_lossy(coherent_init(cfg), cfg, t)
+        assert np.abs(out.mu - mu).max() <= 1e-10 * np.abs(mu).max()
+        assert np.abs(out.cov - cov).max() <= 1e-10 * np.abs(cov).max()
+        if g == 0.95 and Gamma:
+            px = evolve(coherent_init(cfg), propagator(cfg, t, method="expm"))
+            assert np.abs(px.mu - mu).max() <= 1e-10 * np.abs(mu).max()
+            assert np.abs(px.cov - cov).max() <= 1e-10 * np.abs(cov).max()
 
     def test_diffusion_is_rate_per_mode(self):
         cfg = ep3_sensor(0.9, gamma=0.2, Gamma=0.05)

@@ -152,6 +152,18 @@ class TestSensitivity:
         rep = sensitivity(sensor, obs, 0.0, with_qfi=False, sql_samples=0)
         assert rep.delta_eps > 1e15
 
+    def test_valid_regime_tracks_the_configured_perturbation(self, chi):
+        obs = observable("X1-X2", 3)
+        t = 2 * np.pi / chi
+        far = 16.0 * chi ** 3                     # eps/chi^3 = 16
+        rep = sensitivity(ep3_sensor(0.95, alpha=2.0, eps1=far, eps2=far), obs, t,
+                          with_qfi=False, sql_samples=0)
+        assert not rep.valid_regime
+        near = 0.05 * chi ** 3
+        rep = sensitivity(ep3_sensor(0.95, alpha=2.0, eps1=near, eps2=near), obs, t,
+                          with_qfi=False, sql_samples=0)
+        assert rep.valid_regime
+
     def test_csv_row_schema(self, sensor, chi):
         rep = sensitivity(sensor, observable("X1-X2", 3), 2 * np.pi / chi)
         row = rep.csv_row()

@@ -171,6 +171,16 @@ class TestPuiseuxFit:
         assert fit.branch_prefactor == pytest.approx(2 ** (1 / 3), rel=1e-3)
         assert fit.r_squared > 0.9999
 
+    def test_splittings_are_the_fitted_values(self):
+        fit = puiseux_fit(ep4_system(0.2), self.GRID, same_detuning_shift)
+        assert len(fit.splittings) == len(self.GRID)
+        lam0 = eigensolve(ep4_system(0.2)).eigenvalues.mean()
+        for eps, value in zip(self.GRID[::5], fit.splittings[::5]):
+            shifted = eigensolve(same_detuning_shift(ep4_system(0.2), eps))
+            assert value == np.abs(shifted.eigenvalues - lam0).max()
+        lx, ly = np.log(self.GRID), np.log(fit.splittings)
+        assert np.polyfit(lx, ly, 1)[0] == pytest.approx(fit.slope, abs=1e-12)
+
     def test_prefactor_ratio(self):
         fit_same = puiseux_fit(ep3_sensor(1.0), self.GRID, same_detuning_shift)
         fit_single = puiseux_fit(ep3_sensor(1.0), self.GRID, single_detuning_shift)

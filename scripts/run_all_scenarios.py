@@ -4,25 +4,14 @@
 import pathlib
 import sys
 
-from epsensor.scenarios import load_scenario, run_scenario
+from epsensor.cli import main
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
-def main():
-    out = ROOT / "results"
-    scenarios = sorted((ROOT / "scenarios").glob("*.scn"))
-    if not scenarios:
-        print("no scenario files found", file=sys.stderr)
-        return 2
-    for path in scenarios:
-        res = run_scenario(load_scenario(path), out_dir=str(out))
-        extras = {k: v for k, v in res.items()
-                  if k not in ("name", "experiment", "output", "rows")}
-        tail = "".join(f" {k}={v}" for k, v in sorted(extras.items()))
-        print(f"{res['name']}: {res['rows']} rows -> {res['output']}{tail}")
-    return 0
-
-
 if __name__ == "__main__":
-    sys.exit(main())
+    paths = sorted(str(p) for p in (ROOT / "scenarios").glob("*.scn"))
+    if not paths:
+        print("no scenario files found", file=sys.stderr)
+        sys.exit(2)
+    sys.exit(main(["run", *paths, "--out", str(ROOT / "results")]))

@@ -16,7 +16,7 @@ from .gaussian import (BlochMessiahDecomposition, GaussianState, Propagator,
                        two_mode_squeezer_coefficients, vacuum_state)
 from .metrology import (Observable, ScalingFit, SensitivityReport,
                         feasibility_check, noise_variance, observable,
-                        peak_total_excitation, qcrb, qfi, qfi_chi_scaling,
+                        peak_total_excitation, qfi, qfi_chi_scaling,
                         qfi_parts, scaling_fit, sensitivity, sql,
                         susceptibility, working_point_time)
 from .model import (DynamicalMatrix, IrreducibilityReport, SymmetryReport,
@@ -27,8 +27,8 @@ from .perturb import (BiorthogonalBasis, PropagatorCoefficients,
                       first_order_eigenvalues, first_order_propagator,
                       susceptibility_derivatives)
 from .spectral import (CubicDiscriminant, PuiseuxFit, Spectrum,
-                       cardano_eigenvalues, classify_phase, cubic_discriminant,
-                       eigensolve, match_branches, perturbed_eigenvalues_analytic,
+                       cardano_eigenvalues, cubic_discriminant, eigensolve,
+                       match_branches, perturbed_eigenvalues_analytic,
                        puiseux_fit)
 
 __version__ = "0.1.0"

@@ -121,7 +121,7 @@ def criterion_4_susceptibility_crosscheck():
         for k in range(1, 21):
             t = k * period / 20.0
             s_an = susceptibility(cfg, obs, t, method="analytic")
-            s_fd = susceptibility(cfg, obs, t, method="fd", step=1e-9)
+            s_fd = susceptibility(cfg, obs, t, method="fd")
             worst = max(worst, abs(s_an - s_fd) / abs(s_an))
     res.add("worst relative difference", worst, "<= 1e-4", worst <= 1e-4)
     return res

@@ -1,7 +1,6 @@
 """Command-line front end.
 
     epsensor run SCENARIO [SCENARIO ...] [--out DIR] [--format csv|json]
-                 [--jobs K]
     epsensor accept [--out DIR] [--only IDS]
 
 Exit codes: 0 success, 1 acceptance criteria failed, 2 configuration error,
@@ -12,7 +11,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from .acceptance import run_acceptance
 from .config import ConfigurationError, NumericalError
@@ -35,8 +33,6 @@ def _build_parser():
     runp.add_argument("--out", default=".", help="output directory")
     runp.add_argument("--format", choices=("csv", "json"), default=None,
                       help="override the scenario's output format")
-    runp.add_argument("--jobs", type=int, default=1,
-                      help="run up to K scenarios concurrently")
 
     accp = sub.add_parser("accept", help="run the acceptance suite")
     accp.add_argument("--out", default=".", help="directory for the JSON report")
@@ -47,14 +43,7 @@ def _build_parser():
 
 def _cmd_run(args):
     scenarios = [load_scenario(path) for path in args.scenarios]
-    results = []
-    if args.jobs > 1 and len(scenarios) > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            futures = [pool.submit(run_scenario, s, args.out, args.format)
-                       for s in scenarios]
-            results = [f.result() for f in futures]
-    else:
-        results = [run_scenario(s, args.out, args.format) for s in scenarios]
+    results = [run_scenario(s, args.out, args.format) for s in scenarios]
     for res in sorted(results, key=lambda r: r["name"]):
         extras = {k: v for k, v in res.items()
                   if k not in ("name", "experiment", "output", "rows")}

@@ -107,10 +107,6 @@ class SystemConfig:
             raise ConfigurationError(f"unknown perturbation mode {mode!r}")
         return replace(self, epsilon=new)
 
-    def with_couplings(self, g=None, kappa=None):
-        return replace(self, g=g if g is not None else self.g,
-                       kappa=kappa if kappa is not None else self.kappa)
-
     def with_losses(self, gamma=None, Gamma=None):
         return replace(self, gamma=self.gamma if gamma is None else float(gamma),
                        Gamma=self.Gamma if Gamma is None else float(Gamma))

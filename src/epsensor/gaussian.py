@@ -163,29 +163,26 @@ def operator_to_quadrature(K, kinds):
 COND_SWITCH = 1e8
 
 
-def propagator(config, t, method="auto"):
+def propagator(config, t):
     """Exact affine Gaussian map over time t: K(t) = exp(-i h t), its
     quadrature map S and the diffusion covariance
     Q(t) = int_0^t S(s) D S(s)^T ds of a lossy configuration.
 
     Uses the eigen-decomposition when the eigenvector matrix is well enough
-    conditioned and falls back to scaling-and-squaring expm near exceptional
-    points, where the eigenbasis is defective.
+    conditioned (cond(V) < COND_SWITCH) and falls back to scaling-and-squaring
+    expm for nearly defective spectra, close to or at exceptional points.
     """
-    h = build_system(config).reduced
     kinds = reduced_mode_kinds(config)
-    cond = np.inf
-    K, used = None, "expm"
-    if method in ("auto", "eigen"):
-        spec = eigensolve(config)
-        V = spec.right_vectors
-        cond = float(np.linalg.cond(V))
-        if method == "eigen" or cond < COND_SWITCH:
-            Vinv = np.linalg.inv(V)
-            K = V @ np.diag(np.exp(-1j * spec.eigenvalues * t)) @ Vinv
-            used = "eigen"
-    if K is None:
-        K = expm(-1j * h * t)
+    spec = eigensolve(config)
+    V = spec.right_vectors
+    cond = float(np.linalg.cond(V))
+    if cond < COND_SWITCH:
+        Vinv = np.linalg.inv(V)
+        K = V @ np.diag(np.exp(-1j * spec.eigenvalues * t)) @ Vinv
+        used = "eigen"
+    else:
+        K = expm(-1j * build_system(config).reduced * t)
+        used = "expm"
     S = operator_to_quadrature(K, kinds)
     if config.lossless:
         Q = np.zeros_like(S)
@@ -223,15 +220,14 @@ def _van_loan_diffusion(config, t):
 
 
 def evolve(state, prop):
-    """Affine Gaussian update mu -> S mu, cov -> S cov S^T + Q (a bare
-    matrix S acts as a propagator with Q = 0 and t = 0)."""
-    S, Q, dt = ((prop.S_quad, prop.Q, prop.t) if isinstance(prop, Propagator)
-                else (np.asarray(prop), 0.0, 0.0))
+    """Affine Gaussian update mu -> S mu, cov -> S cov S^T + Q of a
+    Propagator."""
+    S = prop.S_quad
     if S.shape != (len(state.mu), len(state.mu)):
         raise ConfigurationError(
             f"propagator dimension {S.shape} does not match state ({len(state.mu)})")
-    return replace(state, mu=S @ state.mu, cov=S @ state.cov @ S.T + Q,
-                   time=state.time + dt)
+    return replace(state, mu=S @ state.mu, cov=S @ state.cov @ S.T + prop.Q,
+                   time=state.time + prop.t)
 
 
 def drift_and_diffusion(config):
@@ -371,10 +367,10 @@ def _rot(phi):
     return np.array([[np.cos(phi), np.sin(phi)], [-np.sin(phi), np.cos(phi)]])
 
 
-def bloch_messiah_2mode(A, B, alpha, tol=1e-9):
+def bloch_messiah_2mode(A, B, alpha):
     """Passive-squeeze-passive factorization of the two-mode propagator.
 
-    For |A|^2 - |B|^2 = 1 (checked to tol) the quadrature map of
+    For |A|^2 - |B|^2 = 1 (checked to 1e-9) the quadrature map of
     (a -> A a + B b^+, b -> A b + B a^+) factors exactly as
     K . diag(S(-r), S(r)) . L with 50:50-splitter passive stages
 
@@ -388,9 +384,9 @@ def bloch_messiah_2mode(A, B, alpha, tol=1e-9):
     A = complex(A)
     Br = _real_B(B)
     defect = abs(abs(A) ** 2 - Br * Br - 1.0)
-    if defect > tol:
+    if defect > 1e-9:
         raise ConfigurationError(
-            f"|A|^2 - |B|^2 = 1 violated by {defect:.3e} (tol {tol:g})")
+            f"|A|^2 - |B|^2 = 1 violated by {defect:.3e} (tol 1e-9)")
     phi = -np.arctan2(A.imag, A.real)
     r = float(np.arcsinh(Br))
     I2 = np.eye(2)

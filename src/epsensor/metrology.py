@@ -76,10 +76,6 @@ def x_minus(n_modes=3):
     return observable("X1-X2", n_modes)
 
 
-def x_plus(n_modes=3):
-    return observable("X1+X2", n_modes)
-
-
 @dataclass(frozen=True)
 class SensitivityReport:
     g: float
@@ -132,14 +128,17 @@ def _final_state(config, t, eta=None):
     return state
 
 
-def susceptibility(config, obs, t, method="fd", mode="same", step=1e-9, eta=None):
+FD_STEP = 1e-9          # central-difference step of the fd susceptibility
+
+
+def susceptibility(config, obs, t, method="fd", mode="same", eta=None):
     """|d<O>/d(eps)| at the configured perturbation offset.
 
-    method "fd": central finite difference on the exact Gaussian evolution
-    (with decay and diffusion when decay rates are nonzero). method "analytic":
-    closed first-order forms for the lossless three-mode sensor at
-    delta = 0 with amplitudes (i alpha, -i alpha), valid for the X1-X2 and
-    X1+X2 observables in mode "same".
+    method "fd": central finite difference with step FD_STEP on the exact
+    Gaussian evolution (with decay and diffusion when decay rates are
+    nonzero). method "analytic": closed first-order forms for the lossless
+    three-mode sensor at delta = 0 with amplitudes (i alpha, -i alpha), valid
+    for the X1-X2 and X1+X2 observables in mode "same".
     """
     if method == "fd":
         eps0 = config.epsilon[0]
@@ -147,7 +146,7 @@ def susceptibility(config, obs, t, method="fd", mode="same", step=1e-9, eta=None
         def mean(e):
             return obs.mean(_final_state(config.with_perturbation(e, mode), t, eta))
 
-        return abs(mean(eps0 + step) - mean(eps0 - step)) / (2.0 * step)
+        return abs(mean(eps0 + FD_STEP) - mean(eps0 - FD_STEP)) / (2.0 * FD_STEP)
     if method == "analytic":
         return _analytic_susceptibility(config, obs, t, mode, eta)
     raise ConfigurationError(f"unknown susceptibility method {method!r}")
@@ -214,9 +213,7 @@ def analytic_noise(config, obs, t):
 # ---------------------------------------------------------------------------
 # quantum Fisher information
 
-def _qfi_step(config, step):
-    if step is not None:
-        return step
+def _qfi_step(config):
     try:
         chi = collective_rate(config)
         return 1e-7 * chi ** 3
@@ -224,9 +221,10 @@ def _qfi_step(config, step):
         return 1e-9
 
 
-def qfi_parts(config, t, eps0=0.0, mode="same", step=None, rcond=1e-10):
-    """(I_total, I_mu, I_cov, solver_ok) of the evolved Gaussian state with
-    respect to the detuning perturbation.
+def qfi_parts(config, t, eps0=0.0, mode="same", eta=None):
+    """(I_total, I_mu, I_cov, solver_ok) of the evolved Gaussian state, after
+    the readout loss eta when given, with respect to the detuning
+    perturbation.
 
     I_mu = dmu^T cov^-1 dmu; I_cov = Tr[Phi dcov]/2 where Phi solves
     dcov = cov Phi cov - Omega Phi Omega^T (vectorized least-squares with
@@ -236,10 +234,10 @@ def qfi_parts(config, t, eps0=0.0, mode="same", step=None, rcond=1e-10):
     residual is large, solver_ok is False and I_cov is reported as 0 so the
     total is the displacement lower bound.
     """
-    h = _qfi_step(config, step)
+    h = _qfi_step(config)
 
     def state(e):
-        return _final_state(config.with_perturbation(e, mode), t)
+        return _final_state(config.with_perturbation(e, mode), t, eta)
 
     sp, sm, s0 = state(eps0 + h), state(eps0 - h), state(eps0)
     dmu = (sp.mu - sm.mu) / (2.0 * h)
@@ -251,7 +249,7 @@ def qfi_parts(config, t, eps0=0.0, mode="same", step=None, rcond=1e-10):
     om = np.kron(np.eye(n2 // 2), np.array([[0.0, 1.0], [-1.0, 0.0]]))
     M = np.kron(cov, cov) - np.kron(om, om)
     rhs = dcov.flatten(order="F")
-    sol, _, _, _ = np.linalg.lstsq(M, rhs, rcond=rcond)
+    sol, _, _, _ = np.linalg.lstsq(M, rhs, rcond=1e-10)
     residual = float(np.abs(M @ sol - rhs).max())
     ok = residual <= 1e-6 * max(1.0, float(np.abs(rhs).max()))
     if not ok:
@@ -266,14 +264,8 @@ def qfi_parts(config, t, eps0=0.0, mode="same", step=None, rcond=1e-10):
     return i_mu + i_cov, i_mu, i_cov, ok
 
 
-def qfi(config, t, eps0=0.0, mode="same", step=None):
-    return qfi_parts(config, t, eps0=eps0, mode=mode, step=step)[0]
-
-
-def qcrb(config, t, **kwargs):
-    """Best possible sensitivity 1/sqrt(QFI)."""
-    value = qfi(config, t, **kwargs)
-    return float(1.0 / np.sqrt(value)) if value > 0 else np.inf
+def qfi(config, t, eps0=0.0, mode="same"):
+    return qfi_parts(config, t, eps0=eps0, mode=mode)[0]
 
 
 def sql(n_total, t):
@@ -298,25 +290,22 @@ def db_ratio(reference, value):
     return float(20.0 * np.log10(reference / value))
 
 
-def sensitivity(config, obs, t, mode="same", eta=None, fd_step=1e-9,
-                with_qfi=True, sql_samples=256):
+def sensitivity(config, obs, t, mode="same", eta=None):
     """Full working-point report: susceptibility, noise, delta_eps =
-    sqrt(noise)/susceptibility, Fisher bound, and SQL comparison.
+    sqrt(noise)/susceptibility, Fisher bound of the state after the readout
+    loss eta, and SQL comparison (no SQL at t = 0).
 
     valid_regime is true when the configured perturbation lies in the
     first-order regime eps < 0.1 chi^3, with chi taken at eps = 0; it is
     false where chi is undefined (at or beyond the exceptional point, or
     not the three-mode sensor)."""
-    s = susceptibility(config, obs, t, method="fd", mode=mode, step=fd_step, eta=eta)
+    s = susceptibility(config, obs, t, method="fd", mode=mode, eta=eta)
     nz = noise_variance(config, obs, t, eta=eta)
     delta = float(np.sqrt(nz) / s) if s > 0 else np.inf
-    if with_qfi:
-        value, _, _, _ = qfi_parts(config, t, mode=mode)
-        bound = float(1.0 / np.sqrt(value)) if value > 0 else np.inf
-    else:
-        value, bound = np.nan, np.nan
-    if sql_samples > 0 and t > 0:
-        n_peak = peak_total_excitation(config, t, samples=sql_samples)
+    value, _, _, _ = qfi_parts(config, t, mode=mode, eta=eta)
+    bound = float(1.0 / np.sqrt(value)) if value > 0 else np.inf
+    if t > 0:
+        n_peak = peak_total_excitation(config, t)
         sql_value = sql(n_peak, t) if n_peak > 0 else np.nan
     else:
         n_peak, sql_value = np.nan, np.nan
@@ -406,7 +395,8 @@ def _ep3_point(chi, alpha, q):
     return float(np.sqrt(nz) / s)
 
 
-def _ep2_point(chi, alpha, q, step=1e-10):
+def _ep2_point(chi, alpha, q):
+    step = 1e-10
     delta = float(np.sqrt(1.0 + chi * chi))
     t = 2.0 * np.pi * q / chi
     ap, _ = two_mode_squeezer_coefficients(delta, 1.0, step, t)
@@ -415,7 +405,7 @@ def _ep2_point(chi, alpha, q, step=1e-10):
     return float(np.sqrt(0.5) / slope)
 
 
-def _ep4_point(chi_target, alpha, q, f, step=1e-9):
+def _ep4_point(chi_target, alpha, q, f):
     locus = ep4_locus(f)
     s_off = chi_target ** 4
     base = ep4_system(f, g1=locus.g - s_off, alpha=alpha)
@@ -430,7 +420,7 @@ def _ep4_point(chi_target, alpha, q, f, step=1e-9):
     def mu_at(e):
         return propagator(base.with_perturbation(e, "same"), t).S_quad @ mu0
 
-    dmu = (mu_at(step) - mu_at(-step)) / (2.0 * step)
+    dmu = (mu_at(FD_STEP) - mu_at(-FD_STEP)) / (2.0 * FD_STEP)
     response = float(np.linalg.norm(dmu[: 2 * (base.n - 1)]))
     return chi_eff, float(np.sqrt((base.n - 1) / 2.0) / response)
 

@@ -130,11 +130,11 @@ def perturbation_matrix_elements(basis, eps1, eps2):
     return basis.left.conj().T @ Hp @ basis.right
 
 
-def regime_ok(eps1, eps2, chi, ratio=DEFAULT_REGIME_RATIO):
-    return max(abs(eps1), abs(eps2)) < ratio * chi ** 3
+def regime_ok(eps1, eps2, chi):
+    return max(abs(eps1), abs(eps2)) < DEFAULT_REGIME_RATIO * chi ** 3
 
 
-def first_order_eigenvalues(basis, eps1, eps2, regime_ratio=DEFAULT_REGIME_RATIO):
+def first_order_eigenvalues(basis, eps1, eps2):
     """Eigenvalues shifted by the diagonal perturbation matrix elements:
 
         lam0' = lam0 + (eps1 + eps2 g^2) / (1 - g^2)
@@ -142,7 +142,7 @@ def first_order_eigenvalues(basis, eps1, eps2, regime_ratio=DEFAULT_REGIME_RATIO
 
     Both +- branches shift the same way in the lossless case. Exceeding the
     regime eps << chi^3 sets valid_regime=False rather than raising; the
-    flag threshold is eps/chi^3 < regime_ratio.
+    flag threshold is eps/chi^3 < DEFAULT_REGIME_RATIO.
     """
     lam0, lamp, lamm = basis.eigenvalues
     Hp = perturbation_matrix_elements(basis, eps1, eps2)
@@ -150,7 +150,7 @@ def first_order_eigenvalues(basis, eps1, eps2, regime_ratio=DEFAULT_REGIME_RATIO
         lam0=lam0 + Hp[0, 0],
         lam_plus=lamp + Hp[1, 1],
         lam_minus=lamm + Hp[2, 2],
-        valid_regime=regime_ok(eps1, eps2, basis.chi, regime_ratio))
+        valid_regime=regime_ok(eps1, eps2, basis.chi))
 
 
 def exact_propagator_coefficients(g, eps1, eps2, t):
@@ -178,7 +178,7 @@ def exact_propagator_coefficients(g, eps1, eps2, t):
         D=-1j * om * total(lambda l: eps1 - l))
 
 
-def first_order_propagator(g, eps1, eps2, t, regime_ratio=DEFAULT_REGIME_RATIO):
+def first_order_propagator(g, eps1, eps2, t):
     """First-order propagation coefficients (lossless).
 
     Secular phases are resummed into exponentials of the first-order
@@ -197,7 +197,7 @@ def first_order_propagator(g, eps1, eps2, t, regime_ratio=DEFAULT_REGIME_RATIO):
     q1 = g * g * e1 - 4.0 * e1 - 3.0 * e2
     q2 = g * g * e1 + e2
     q3 = 3.0 * g * g * e1 + 4.0 * g * g * e2 - e2
-    ok = regime_ok(e1, e2, chi, regime_ratio)
+    ok = regime_ok(e1, e2, chi)
     return PropagatorCoefficients(
         A1=(E1 / chi2
             - g * g * E2 / (16.0 * chi ** 8) * (16.0 * chi ** 6 + q1 * q1) * c

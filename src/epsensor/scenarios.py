@@ -14,7 +14,7 @@ directory for one worked example of each.
 import json
 import os
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -28,10 +28,6 @@ from .spectral import (coupling_shift, cubic_discriminant, eigensolve,
 
 EXPERIMENTS = ("spectrum_sweep", "discriminant_map", "puiseux", "evolve_trace",
                "sensitivity_sweep", "qfi_trace", "scaling", "loss_sweep")
-
-SWEEPABLE = ("g1", "g2", "g3", "kappa1", "kappa2", "delta1", "delta2", "delta3",
-             "epsilon1", "epsilon2", "epsilon3", "eps_same", "gamma", "Gamma",
-             "eta", "t")
 
 
 def fmt(value):
@@ -59,7 +55,6 @@ class Scenario:
     perturbation: str = "same"
     family: str = "ep3"
     theta_t: float = float(np.pi / 2)
-    raw: dict = field(default_factory=dict)
 
 
 def parse_grid(text):
@@ -144,14 +139,13 @@ def parse_scenario(text, name_hint="scenario"):
             raise ConfigurationError("field 'sweep_grid': grid must be strictly monotone")
     if not sweep_grid:
         raise ConfigurationError("field 'sweep_grid': required and non-empty")
-    if experiment in ("spectrum_sweep", "discriminant_map", "sensitivity_sweep",
-                      "loss_sweep"):
-        if sweep_param not in SWEEPABLE:
-            raise ConfigurationError(
-                f"field 'sweep_param': got {sweep_param!r}, expected one of {SWEEPABLE}")
-    if experiment == "loss_sweep" and sweep_param not in ("gamma", "Gamma", "eta"):
+    setters = tuple(_sweep_setters(system))
+    allowed = {"spectrum_sweep": setters, "discriminant_map": setters,
+               "sensitivity_sweep": setters + ("t", "eta"),
+               "loss_sweep": ("gamma", "Gamma", "eta")}.get(experiment)
+    if allowed is not None and sweep_param not in allowed:
         raise ConfigurationError(
-            "field 'sweep_param': loss_sweep sweeps gamma, Gamma, or eta")
+            f"field 'sweep_param': got {sweep_param!r}, expected one of {allowed}")
 
     scenario = Scenario(
         name=name, experiment=experiment, system=system,
@@ -163,7 +157,6 @@ def parse_scenario(text, name_hint="scenario"):
         perturbation=take("perturbation", "same"),
         family=take("family", "ep3"),
         theta_t=float(take("theta_t", str(np.pi / 2))),
-        raw=dict(kv),
     )
     if scenario.out_format not in ("csv", "json"):
         raise ConfigurationError(
@@ -183,29 +176,32 @@ def load_scenario(path):
 # ---------------------------------------------------------------------------
 # sweep plumbing
 
+def _set_entry(name, index):
+    def setter(config, value):
+        seq = list(getattr(config, name))
+        seq[index] = value
+        return replace(config, **{name: tuple(seq)})
+    return setter
+
+
+def _sweep_setters(config):
+    """The system parameters a sweep can set on `config`, each mapped to a
+    setter (config, value) -> config: g1..gm, kappa1.., delta1.., epsilon1..
+    (one per entry the configuration has), eps_same, gamma and Gamma."""
+    setters = {f"{name}{i + 1}": _set_entry(name, i)
+               for name in ("g", "kappa", "delta", "epsilon")
+               for i in range(len(getattr(config, name)))}
+    setters["eps_same"] = lambda c, v: c.with_perturbation(v, "same")
+    setters["gamma"] = lambda c, v: replace(c, gamma=v)
+    setters["Gamma"] = lambda c, v: replace(c, Gamma=v)
+    return setters
+
+
 def apply_sweep_value(config, param, value):
-    from dataclasses import replace
-
-    def set_at(seq, idx, v):
-        seq = list(seq)
-        seq[idx] = v
-        return tuple(seq)
-
-    if param.startswith("g") and param[1:].isdigit():
-        return replace(config, g=set_at(config.g, int(param[1:]) - 1, value))
-    if param.startswith("kappa"):
-        return replace(config, kappa=set_at(config.kappa, int(param[5:]) - 1, value))
-    if param.startswith("delta"):
-        return replace(config, delta=set_at(config.delta, int(param[5:]) - 1, value))
-    if param.startswith("epsilon"):
-        return replace(config, epsilon=set_at(config.epsilon, int(param[7:]) - 1, value))
-    if param == "eps_same":
-        return config.with_perturbation(value, "same")
-    if param == "gamma":
-        return replace(config, gamma=value)
-    if param == "Gamma":
-        return replace(config, Gamma=value)
-    raise ConfigurationError(f"cannot apply sweep parameter {param!r} to the system")
+    setter = _sweep_setters(config).get(param)
+    if setter is None:
+        raise ConfigurationError(f"cannot apply sweep parameter {param!r} to the system")
+    return setter(config, value)
 
 
 def resolve_time(scenario, config):

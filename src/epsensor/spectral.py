@@ -21,16 +21,17 @@ from .config import ConfigurationError, NumericalError, SystemConfig
 from .model import DynamicalMatrix, build_system
 
 EPS = np.finfo(float).eps
+ABERTH_TOL = 1e-14           # relative update size at which a root has stalled
+ABERTH_MAX_ITER = 400
+STABILITY_TOL = 1e-9         # |Im lambda| / scale below which a spectrum is stable
 
 
 @dataclass(frozen=True)
 class Spectrum:
     eigenvalues: np.ndarray      # length n, sorted by (Re, Im)
     right_vectors: np.ndarray    # columns, H R = R diag(lambda)
-    left_vectors: np.ndarray     # columns, H^+ L = L diag(lambda^*)
     phase: str                   # "stable" | "unstable" | "exceptional"
     ep_order: int                # largest eigenvalue-cluster size (1 = none)
-    chi: float | None            # collective rate, three-mode sensor only
 
     @property
     def n(self):
@@ -84,7 +85,7 @@ def _backward_floor(coeffs, z):
     return float(np.abs(coeffs) @ powers)
 
 
-def aberth_roots(coeffs, tol=1e-14, max_iter=400):
+def aberth_roots(coeffs):
     """All roots of a monic polynomial at once (Aberth-Ehrlich iteration).
 
     A root is accepted when |p(z)| falls below the double-precision
@@ -106,7 +107,7 @@ def aberth_roots(coeffs, tol=1e-14, max_iter=400):
     z = 0.5 * bound * np.exp(1j * angles)
     scale = max(bound, 1.0)
     done = np.zeros(n, dtype=bool)
-    for _ in range(max_iter):
+    for _ in range(ABERTH_MAX_ITER):
         p = np.array([_horner(coeffs, zi) for zi in z])
         floors = np.array([_backward_floor(coeffs, zi) for zi in z])
         done |= np.abs(p) <= 8.0 * n * EPS * np.maximum(floors, EPS)
@@ -121,14 +122,14 @@ def aberth_roots(coeffs, tol=1e-14, max_iter=400):
         step = np.where(np.abs(denom) > 1e-300, newton / denom, newton)
         step = np.where(done, 0.0, step)
         z = z - step
-        done |= np.abs(step) <= tol * np.maximum(np.abs(z), scale)
+        done |= np.abs(step) <= ABERTH_TOL * np.maximum(np.abs(z), scale)
         if done.all():
             return z
     bad = np.abs(p) > 1e6 * n * EPS * np.maximum(floors, EPS)
     if not bad.any():
         return z
     raise NumericalError(
-        f"root iteration did not converge: {max_iter} iterations, "
+        f"root iteration did not converge: {ABERTH_MAX_ITER} iterations, "
         f"{bad.sum()} unconverged roots, worst residual "
         f"{np.abs(p[bad]).max():.3e}, scale {scale:.3e}")
 
@@ -280,16 +281,11 @@ def _null_vector(M):
     return vh[-1].conj()
 
 
-def _left_null_vector(M):
-    u, _, _ = np.linalg.svd(M)
-    return u[:, -1]
-
-
 def default_cluster_radius(H):
     return 1e-6 * max(1.0, float(np.abs(H).max()))
 
 
-def eigensolve(system, cluster_radius=None, stability_tol=1e-9):
+def eigensolve(system, cluster_radius=None):
     """Full spectral data of a dynamical matrix (reduced basis).
 
     Accepts a SystemConfig, DynamicalMatrix, or a bare square matrix. For
@@ -334,24 +330,15 @@ def eigensolve(system, cluster_radius=None, stability_tol=1e-9):
     roots = roots[order]
 
     right = np.zeros((n, n), dtype=complex)
-    left = np.zeros((n, n), dtype=complex)
     I = np.eye(n)
     for i, lam in enumerate(roots):
         right[:, i] = _null_vector(H - lam * I)
-        left[:, i] = _left_null_vector(H - lam * I)
 
     radius = default_cluster_radius(H) if cluster_radius is None else cluster_radius
     ep_order = max(len(c) for c in _cluster_indices(roots, radius))
-    phase = _classify(roots, stability_tol * scale, ep_order)
-
-    chi = None
-    if config is not None and (config.n, config.m) == (3, 1):
-        gm = config.gamma - config.Gamma
-        chi2 = config.kappa[0] ** 2 - config.g[0] ** 2 - gm * gm / 4.0
-        chi = float(np.sqrt(chi2)) if chi2 > 0 else None
-
-    return Spectrum(eigenvalues=roots, right_vectors=right, left_vectors=left,
-                    phase=phase, ep_order=int(ep_order), chi=chi)
+    phase = _classify(roots, STABILITY_TOL * scale, ep_order)
+    return Spectrum(eigenvalues=roots, right_vectors=right, phase=phase,
+                    ep_order=int(ep_order))
 
 
 def _set_distance(a, b):
@@ -369,27 +356,11 @@ def _classify(eigenvalues, tol, ep_order):
     return "unstable"
 
 
-def classify_phase(spectrum, tol=1e-9, cluster_radius=None):
-    """Re-classify a computed spectrum with a caller-chosen tolerance:
-    exceptional if any eigenvalue cluster of size >= 2 exists, stable if all
-    imaginary parts are below tol, unstable otherwise."""
-    eigs = spectrum.eigenvalues
-    if cluster_radius is None:
-        cluster_radius = 1e-6 * max(1.0, float(np.abs(eigs).max()))
-    ep_order = max(len(c) for c in _cluster_indices(eigs, cluster_radius))
-    return _classify(eigs, tol, ep_order)
-
-
 def eigenvector_residuals(H, spectrum):
-    """Max residuals of H R = lambda R and L^+ H = lambda L^+ over columns."""
+    """Max residual of H R = lambda R over the columns."""
     H = np.asarray(H, dtype=complex)
-    r_res = l_res = 0.0
-    for i, lam in enumerate(spectrum.eigenvalues):
-        r = spectrum.right_vectors[:, i]
-        l = spectrum.left_vectors[:, i]
-        r_res = max(r_res, float(np.abs(H @ r - lam * r).max()))
-        l_res = max(l_res, float(np.abs(l.conj() @ H - lam * l.conj()).max()))
-    return r_res, l_res
+    return max(float(np.abs(H @ r - lam * r).max())
+               for lam, r in zip(spectrum.eigenvalues, spectrum.right_vectors.T))
 
 
 # ---------------------------------------------------------------------------

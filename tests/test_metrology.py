@@ -149,20 +149,23 @@ class TestSensitivity:
         # no exception; a vanishing signal yields an (effectively) infinite
         # delta_eps, exactly inf when the difference rounds to zero
         obs = observable("X1-X2", 3)
-        rep = sensitivity(sensor, obs, 0.0, with_qfi=False, sql_samples=0)
+        rep = sensitivity(sensor, obs, 0.0)
         assert rep.delta_eps > 1e15
 
     def test_valid_regime_tracks_the_configured_perturbation(self, chi):
         obs = observable("X1-X2", 3)
         t = 2 * np.pi / chi
         far = 16.0 * chi ** 3                     # eps/chi^3 = 16
-        rep = sensitivity(ep3_sensor(0.95, alpha=2.0, eps1=far, eps2=far), obs, t,
-                          with_qfi=False, sql_samples=0)
+        rep = sensitivity(ep3_sensor(0.95, alpha=2.0, eps1=far, eps2=far), obs, t)
         assert not rep.valid_regime
         near = 0.05 * chi ** 3
-        rep = sensitivity(ep3_sensor(0.95, alpha=2.0, eps1=near, eps2=near), obs, t,
-                          with_qfi=False, sql_samples=0)
+        rep = sensitivity(ep3_sensor(0.95, alpha=2.0, eps1=near, eps2=near), obs, t)
         assert rep.valid_regime
+
+    @pytest.mark.parametrize("eta", [0.5, 0.9])
+    def test_fisher_bound_is_of_the_state_after_readout_loss(self, sensor, chi, eta):
+        rep = sensitivity(sensor, observable("X1-X2", 3), 2 * np.pi / chi, eta=eta)
+        assert rep.delta_eps * np.sqrt(rep.qfi) == pytest.approx(1.0, abs=0.01)
 
     def test_csv_row_schema(self, sensor, chi):
         rep = sensitivity(sensor, observable("X1-X2", 3), 2 * np.pi / chi)

@@ -59,6 +59,17 @@ def test_parse_errors_name_the_field(mutation, fragment):
         parse_scenario(text)
 
 
+def test_sweep_param_outside_the_system_is_rejected_at_parse_time():
+    # n = 3, m = 1 has a single beam-splitter coupling kappa1
+    with pytest.raises(ConfigurationError, match="sweep_param"):
+        parse_scenario(MINIMAL.replace("sweep_param = g1", "sweep_param = kappa2"))
+
+
+def test_spectrum_sweep_over_eta_is_rejected_at_parse_time():
+    with pytest.raises(ConfigurationError, match="sweep_param"):
+        parse_scenario(MINIMAL.replace("sweep_param = g1", "sweep_param = eta"))
+
+
 def test_apply_sweep_value_paths():
     scn = parse_scenario(MINIMAL)
     cfg = scn.system
@@ -122,7 +133,7 @@ def test_cli_reports_config_error(tmp_path, capsys):
     assert "experiment" in capsys.readouterr().err
 
 
-def test_cli_jobs_parallel_matches_serial(tmp_path):
+def test_cli_runs_several_scenarios_in_one_call(tmp_path):
     paths = []
     for i, grid in enumerate(("linspace:0.9:1.1:5", "linspace:0.5:0.8:4")):
         text = MINIMAL.replace("linspace:0.9:1.1:5", grid) \
@@ -131,11 +142,11 @@ def test_cli_jobs_parallel_matches_serial(tmp_path):
         p = tmp_path / f"s{i}.scn"
         p.write_text(text)
         paths.append(str(p))
-    assert main(["run", *paths, "--out", str(tmp_path / "ser")]) == 0
-    assert main(["run", *paths, "--jobs", "2", "--out", str(tmp_path / "par")]) == 0
-    for i in range(2):
-        assert (tmp_path / "ser" / f"demo{i}.csv").read_bytes() == \
-            (tmp_path / "par" / f"demo{i}.csv").read_bytes()
+    assert main(["run", *paths, "--out", str(tmp_path / "both")]) == 0
+    for i, path in enumerate(paths):
+        assert main(["run", path, "--out", str(tmp_path / f"one{i}")]) == 0
+        assert (tmp_path / "both" / f"demo{i}.csv").read_bytes() == \
+            (tmp_path / f"one{i}" / f"demo{i}.csv").read_bytes()
 
 
 def test_all_example_scenarios_parse():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from epsensor import (ConfigurationError, SystemConfig, build_system,
-                      cardano_eigenvalues, classify_phase, cubic_discriminant,
+                      cardano_eigenvalues, collective_rate, cubic_discriminant,
                       eigensolve, ep3_sensor, ep4_system, match_branches,
                       perturbed_eigenvalues_analytic, puiseux_fit)
 from epsensor.spectral import (aberth_roots, char_poly, coupling_shift,
@@ -32,7 +32,8 @@ class TestEigensolve:
         assert np.abs(spec.eigenvalues.imag).max() < 1e-12
         assert spec.phase == "stable"
         assert spec.ep_order == 1
-        assert spec.chi == pytest.approx(0.31224989991992, abs=1e-12)
+        assert collective_rate(ep3_sensor(0.95)) == \
+            pytest.approx(0.31224989991992, abs=1e-12)
 
     def test_reducible_counterexample_values(self):
         eps = 0.01
@@ -53,9 +54,7 @@ class TestEigensolve:
         cfg = ep3_sensor(0.9)
         H = build_system(cfg).reduced
         spec = eigensolve(cfg)
-        r_res, l_res = eigenvector_residuals(H, spec)
-        assert r_res < 1e-10
-        assert l_res < 1e-10
+        assert eigenvector_residuals(H, spec) < 1e-10
 
     def test_eigenvalue_precision_away_from_coalescence(self, rng):
         for _ in range(50):
@@ -130,12 +129,6 @@ class TestClassifyPhase:
         assert eigensolve(ep3_sensor(1.0)).phase == "exceptional"
         cfg = SystemConfig(n=3, m=1, g=[1.2], kappa=[1.0], epsilon=(0.01, -0.01))
         assert eigensolve(cfg).phase == "unstable"
-
-    def test_tolerance_controls_stability(self):
-        cfg = SystemConfig(n=3, m=1, g=[1.2], kappa=[1.0], epsilon=(0.01, -0.01))
-        spec = eigensolve(cfg)
-        assert classify_phase(spec, tol=1e-9) == "unstable"
-        assert classify_phase(spec, tol=10.0) == "stable"
 
 
 class TestPerturbedBranches:

@@ -4,6 +4,9 @@ Fisher information, standard-quantum-limit comparison, and scaling fits.
 Conventions (also echoed in report metadata):
 - the sensed parameter is a common shift eps of the magnon detunings
   ("same" mode); shifting only mode 1 is the "different" mode;
+- susceptibility, noise and QFI are all taken about the configured state
+  (epsilon is shifted along the sensed direction), so an offset configured
+  in `epsilon` or in `delta` gives the same figures;
 - working points are t = 2 q pi / chi with chi evaluated at eps = 0;
 - the SQL reference 1/sqrt(N t) uses N = peak total excitation over [0, t],
   sampled on a fixed uniform grid;
@@ -13,7 +16,7 @@ Conventions (also echoed in report metadata):
 """
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -23,7 +26,7 @@ from .gaussian import (apply_external_loss, coherent_init, evolve, propagator,
                        total_excitation, two_mode_squeezer_coefficients)
 from .model import ep4_locus
 from .perturb import regime_ok
-from .spectral import eigensolve
+from .spectral import _log_fit, eigensolve
 
 
 @dataclass(frozen=True)
@@ -131,6 +134,19 @@ def _final_state(config, t, eta=None):
 FD_STEP = 1e-9          # central-difference step of the fd susceptibility
 
 
+def _state_derivative(config, t, h, mode="same", eta=None):
+    """(dmu, dcov): d/d(eps) of the mean and covariance of the evolved state
+    (after the readout loss eta when given), by a central difference of step
+    h about the configured state: config.epsilon is shifted by +-h along the
+    sensed direction, every magnon for "same", magnon 1 for
+    "single"/"different"."""
+    step = np.asarray(config.with_perturbation(h, mode).epsilon)
+    shifted = (replace(config, epsilon=tuple(np.add(config.epsilon, s)))
+               for s in (step, -step))
+    plus, minus = (_final_state(c, t, eta) for c in shifted)
+    return (plus.mu - minus.mu) / (2.0 * h), (plus.cov - minus.cov) / (2.0 * h)
+
+
 def susceptibility(config, obs, t, method="fd", mode="same", eta=None):
     """|d<O>/d(eps)| at the configured perturbation offset.
 
@@ -141,12 +157,8 @@ def susceptibility(config, obs, t, method="fd", mode="same", eta=None):
     for the X1-X2 and X1+X2 observables in mode "same".
     """
     if method == "fd":
-        eps0 = config.epsilon[0]
-
-        def mean(e):
-            return obs.mean(_final_state(config.with_perturbation(e, mode), t, eta))
-
-        return abs(mean(eps0 + FD_STEP) - mean(eps0 - FD_STEP)) / (2.0 * FD_STEP)
+        dmu, _ = _state_derivative(config, t, FD_STEP, mode, eta)
+        return abs(float(obs.coefficients @ dmu))
     if method == "analytic":
         return _analytic_susceptibility(config, obs, t, mode, eta)
     raise ConfigurationError(f"unknown susceptibility method {method!r}")
@@ -221,7 +233,7 @@ def _qfi_step(config):
         return 1e-9
 
 
-def qfi_parts(config, t, eps0=0.0, mode="same", eta=None):
+def qfi_parts(config, t, mode="same", eta=None):
     """(I_total, I_mu, I_cov, solver_ok) of the evolved Gaussian state, after
     the readout loss eta when given, with respect to the detuning
     perturbation.
@@ -230,19 +242,12 @@ def qfi_parts(config, t, eps0=0.0, mode="same", eta=None):
     dcov = cov Phi cov - Omega Phi Omega^T (vectorized least-squares with
     pseudo-inverse regularization; for pure states the system is rank
     deficient and the minimum-norm solution is the correct one). Derivatives
-    are central finite differences with step ~ 1e-7 chi^3. If the solve
-    residual is large, solver_ok is False and I_cov is reported as 0 so the
-    total is the displacement lower bound.
+    are central finite differences with step ~ 1e-7 chi^3 about the
+    configured state. If the solve residual is large, solver_ok is False and
+    I_cov is reported as 0 so the total is the displacement lower bound.
     """
-    h = _qfi_step(config)
-
-    def state(e):
-        return _final_state(config.with_perturbation(e, mode), t, eta)
-
-    sp, sm, s0 = state(eps0 + h), state(eps0 - h), state(eps0)
-    dmu = (sp.mu - sm.mu) / (2.0 * h)
-    dcov = (sp.cov - sm.cov) / (2.0 * h)
-    cov = s0.cov
+    dmu, dcov = _state_derivative(config, t, _qfi_step(config), mode, eta)
+    cov = _final_state(config, t, eta).cov
     i_mu = float(dmu @ np.linalg.solve(cov, dmu))
 
     n2 = cov.shape[0]
@@ -264,8 +269,8 @@ def qfi_parts(config, t, eps0=0.0, mode="same", eta=None):
     return i_mu + i_cov, i_mu, i_cov, ok
 
 
-def qfi(config, t, eps0=0.0, mode="same"):
-    return qfi_parts(config, t, eps0=eps0, mode=mode)[0]
+def qfi(config, t, mode="same"):
+    return qfi_parts(config, t, mode=mode)[0]
 
 
 def sql(n_total, t):
@@ -326,13 +331,9 @@ def sensitivity(config, obs, t, mode="same", eta=None):
 # ---------------------------------------------------------------------------
 # scaling studies
 
-def _log_fit(chis, values):
-    lx, ly = np.log(chis), np.log(values)
-    slope, intercept = np.polyfit(lx, ly, 1)
-    fitted = slope * lx + intercept
-    ss_res = float(((ly - fitted) ** 2).sum())
-    ss_tot = float(((ly - ly.mean()) ** 2).sum())
-    return float(slope), float(intercept), 1.0 - ss_res / ss_tot if ss_tot else 1.0
+SCALING_ALPHA = 2.0     # coherent amplitude of the scaling families
+SCALING_Q = 1           # their working points are t = 2 q pi / chi
+EP4_F = 0.2             # coupling ratio of the "ep4" family's locus
 
 
 def _check_chi_grid(chi_grid):
@@ -344,8 +345,9 @@ def _check_chi_grid(chi_grid):
     return chi_grid
 
 
-def scaling_fit(family, chi_grid, alpha=2.0, q=1, f=0.2):
-    """Exponent of delta_eps versus chi at working points t = 2 q pi / chi.
+def scaling_fit(family, chi_grid):
+    """Exponent of delta_eps (of the QFI for family "ep3-qfi") versus chi at
+    working points t = 2 q pi / chi.
 
     family "ep3": three-mode sensor swept along g = sqrt(1 - chi^2), X1-X2
     measurement. family "ep2": two-mode reference (g = 1,
@@ -355,21 +357,18 @@ def scaling_fit(family, chi_grid, alpha=2.0, q=1, f=0.2):
     delta_eps = sqrt((n-1)/2)/|dmu/deps| on the magnon quadratures
     (vacuum-level-noise convention of the general 2n-1 scaling law; the
     approach path is weakly non-oscillatory, so exp growth enters only as a
-    constant factor). Dynamically unusable grid points (overflow, vanishing
-    response) are excluded and reported.
+    constant factor). family "ep3-qfi": the Fisher information of the "ep3"
+    states. Dynamically unusable grid points (overflow, vanishing response)
+    are excluded and reported.
     """
+    point = _SCALING_POINTS.get(family)
+    if point is None:
+        raise ConfigurationError(f"unknown scaling family {family!r}")
     chi_grid = _check_chi_grid(chi_grid)
     points, excluded = [], []
     for chi in chi_grid:
         try:
-            if family == "ep3":
-                points.append((chi, _ep3_point(chi, alpha, q)))
-            elif family == "ep2":
-                points.append((chi, _ep2_point(chi, alpha, q)))
-            elif family == "ep4":
-                points.append(_ep4_point(chi, alpha, q, f))
-            else:
-                raise ConfigurationError(f"unknown scaling family {family!r}")
+            points.append(point(chi))
         except (FloatingPointError, OverflowError, np.linalg.LinAlgError) as exc:
             warnings.warn(f"excluding chi={chi:g}: {exc}")
             excluded.append(float(chi))
@@ -385,58 +384,55 @@ def scaling_fit(family, chi_grid, alpha=2.0, q=1, f=0.2):
                       chis=chis, values=values, excluded=tuple(excluded))
 
 
-def _ep3_point(chi, alpha, q):
+def _ep3_working_point(chi):
     g = float(np.sqrt(1.0 - chi * chi))
-    config = ep3_sensor(g, alpha=alpha)
-    t = 2.0 * np.pi * q / chi
+    return ep3_sensor(g, alpha=SCALING_ALPHA), 2.0 * np.pi * SCALING_Q / chi
+
+
+def _ep3_point(chi):
+    config, t = _ep3_working_point(chi)
     obs = x_minus()
     s = susceptibility(config, obs, t, method="fd")
     nz = noise_variance(config, obs, t)
-    return float(np.sqrt(nz) / s)
+    return chi, float(np.sqrt(nz) / s)
 
 
-def _ep2_point(chi, alpha, q):
+def _ep3_qfi_point(chi):
+    return chi, qfi(*_ep3_working_point(chi))
+
+
+def _ep2_point(chi):
     step = 1e-10
     delta = float(np.sqrt(1.0 + chi * chi))
-    t = 2.0 * np.pi * q / chi
+    t = 2.0 * np.pi * SCALING_Q / chi
     ap, _ = two_mode_squeezer_coefficients(delta, 1.0, step, t)
     am, _ = two_mode_squeezer_coefficients(delta, 1.0, -step, t)
-    slope = np.sqrt(2.0) * alpha * abs(ap.imag - am.imag) / (2.0 * step)
-    return float(np.sqrt(0.5) / slope)
+    slope = np.sqrt(2.0) * SCALING_ALPHA * abs(ap.imag - am.imag) / (2.0 * step)
+    return chi, float(np.sqrt(0.5) / slope)
 
 
-def _ep4_point(chi_target, alpha, q, f):
-    locus = ep4_locus(f)
+def _ep4_point(chi_target):
+    locus = ep4_locus(EP4_F)
     s_off = chi_target ** 4
-    base = ep4_system(f, g1=locus.g - s_off, alpha=alpha)
+    base = ep4_system(EP4_F, g1=locus.g - s_off, alpha=SCALING_ALPHA)
     spec = eigensolve(base)
     lam = spec.eigenvalues
     chi_eff = float(np.sqrt(np.mean(np.abs(lam - lam.mean()) ** 2)))
     if chi_eff <= 0:
         raise ConfigurationError("degenerate spectrum: no oscillation scale")
-    t = 2.0 * np.pi * q / chi_eff
-    mu0 = coherent_init(base).mu
-
-    def mu_at(e):
-        return propagator(base.with_perturbation(e, "same"), t).S_quad @ mu0
-
-    dmu = (mu_at(FD_STEP) - mu_at(-FD_STEP)) / (2.0 * FD_STEP)
+    t = 2.0 * np.pi * SCALING_Q / chi_eff
+    dmu, _ = _state_derivative(base, t, FD_STEP)
     response = float(np.linalg.norm(dmu[: 2 * (base.n - 1)]))
     return chi_eff, float(np.sqrt((base.n - 1) / 2.0) / response)
 
 
-def qfi_chi_scaling(chi_grid, alpha=2.0, q=1):
-    """Exponent of the Fisher information versus chi at t = 2 q pi / chi
-    for the three-mode sensor family."""
-    chi_grid = _check_chi_grid(chi_grid)
-    values = []
-    for chi in chi_grid:
-        g = float(np.sqrt(1.0 - chi * chi))
-        config = ep3_sensor(g, alpha=alpha)
-        values.append(qfi(config, 2.0 * np.pi * q / chi))
-    slope, intercept, r2 = _log_fit(chi_grid, np.asarray(values))
-    return ScalingFit(exponent=slope, intercept=intercept, r_squared=r2,
-                      chis=np.asarray(chi_grid), values=np.asarray(values))
+_SCALING_POINTS = {"ep3": _ep3_point, "ep3-qfi": _ep3_qfi_point,
+                   "ep2": _ep2_point, "ep4": _ep4_point}
+
+
+def qfi_chi_scaling(chi_grid):
+    """Exponent of the Fisher information versus chi: the "ep3-qfi" family."""
+    return scaling_fit("ep3-qfi", chi_grid)
 
 
 # ---------------------------------------------------------------------------

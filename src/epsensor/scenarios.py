@@ -19,9 +19,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import metrology
-from .config import ConfigurationError, SystemConfig, collective_rate
+from .config import ConfigurationError, SystemConfig
 from .gaussian import coherent_init, evolve, excitation_numbers, propagator
-from .metrology import SensitivityReport, observable, sensitivity
+from .metrology import (SensitivityReport, observable, sensitivity,
+                        working_point_time)
 from .spectral import (coupling_shift, cubic_discriminant, eigensolve,
                        match_branches, puiseux_fit, same_detuning_shift,
                        single_detuning_shift)
@@ -54,7 +55,6 @@ class Scenario:
     time: str = "working:1"
     perturbation: str = "same"
     family: str = "ep3"
-    theta_t: float = float(np.pi / 2)
 
 
 def parse_grid(text):
@@ -156,7 +156,6 @@ def parse_scenario(text, name_hint="scenario"):
         time=take("time", "working:1"),
         perturbation=take("perturbation", "same"),
         family=take("family", "ep3"),
-        theta_t=float(take("theta_t", str(np.pi / 2))),
     )
     if scenario.out_format not in ("csv", "json"):
         raise ConfigurationError(
@@ -208,8 +207,7 @@ def resolve_time(scenario, config):
     """Time grammar: a number, or 'working:q' for t = 2 q pi / chi."""
     text = scenario.time.strip()
     if text.startswith("working:"):
-        q = int(text.split(":", 1)[1])
-        return 2.0 * np.pi * q / collective_rate(config.with_perturbation(0.0))
+        return working_point_time(config, int(text.split(":", 1)[1]))
     return float(text)
 
 
@@ -292,11 +290,6 @@ def _run_evolve_trace(scn):
     return cols, rows, {"points": len(rows)}
 
 
-def _sensitivity_row(cfg, obs, t, eta=None):
-    rep = sensitivity(cfg, obs, t, eta=eta)
-    return rep.csv_row()
-
-
 def _run_sensitivity_sweep(scn):
     cfg = scn.system
     obs = observable(scn.observable, cfg.n)
@@ -304,13 +297,13 @@ def _run_sensitivity_sweep(scn):
     rows = []
     for value in scn.sweep_grid:
         if scn.sweep_param == "t":
-            rows.append(_sensitivity_row(cfg, obs, float(value)))
+            rep = sensitivity(cfg, obs, float(value))
         elif scn.sweep_param == "eta":
-            t = resolve_time(scn, cfg)
-            rows.append(_sensitivity_row(cfg, obs, t, eta=float(value)))
+            rep = sensitivity(cfg, obs, resolve_time(scn, cfg), eta=float(value))
         else:
             swept = apply_sweep_value(cfg, scn.sweep_param, value)
-            rows.append(_sensitivity_row(swept, obs, resolve_time(scn, swept)))
+            rep = sensitivity(swept, obs, resolve_time(scn, swept))
+        rows.append(rep.csv_row())
     return cols, rows, {"points": len(rows)}
 
 
@@ -329,10 +322,7 @@ def _run_qfi_trace(scn):
 
 
 def _run_scaling(scn):
-    if scn.family == "ep3-qfi":
-        fit = metrology.qfi_chi_scaling(np.asarray(scn.sweep_grid))
-    else:
-        fit = metrology.scaling_fit(scn.family, np.asarray(scn.sweep_grid))
+    fit = metrology.scaling_fit(scn.family, np.asarray(scn.sweep_grid))
     cols = ["chi", "value"]
     rows = [[c, v] for c, v in zip(fit.chis, fit.values)]
     return cols, rows, {"family": scn.family, "exponent": fit.exponent,

@@ -418,6 +418,16 @@ def smallest_arg_branch(deltas):
     return float(np.abs(split[np.argmin(np.abs(np.angle(split)))]))
 
 
+def _log_fit(x, y):
+    """(slope, intercept, r_squared) of the least-squares line of log y on log x."""
+    lx, ly = np.log(x), np.log(y)
+    slope, intercept = np.polyfit(lx, ly, 1)
+    fitted = slope * lx + intercept
+    ss_res = float(((ly - fitted) ** 2).sum())
+    ss_tot = float(((ly - ly.mean()) ** 2).sum())
+    return float(slope), float(intercept), 1.0 - ss_res / ss_tot if ss_tot else 1.0
+
+
 def puiseux_fit(config, eps_grid, perturbation=same_detuning_shift,
                 branch_selector=max_modulus_branch):
     """Least-squares exponent of the eigenvalue splitting against the
@@ -454,13 +464,8 @@ def puiseux_fit(config, eps_grid, perturbation=same_detuning_shift,
     if np.any(values <= 0) or not np.all(np.isfinite(values)):
         raise NumericalError("eigenvalue splitting vanished or overflowed on the grid")
 
-    lx, ly = np.log(eps_grid), np.log(values)
-    slope, intercept = np.polyfit(lx, ly, 1)
-    fitted = slope * lx + intercept
-    ss_res = float(((ly - fitted) ** 2).sum())
-    ss_tot = float(((ly - ly.mean()) ** 2).sum())
-    r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
-    return PuiseuxFit(slope=float(slope), intercept=float(intercept), r_squared=r2,
+    slope, intercept, r2 = _log_fit(eps_grid, values)
+    return PuiseuxFit(slope=slope, intercept=intercept, r_squared=r2,
                       eps_range=(float(eps_grid.min()), float(eps_grid.max())),
                       branch_prefactor=float(np.exp(intercept)), splittings=values)
 

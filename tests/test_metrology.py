@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -162,6 +164,20 @@ class TestSensitivity:
         rep = sensitivity(ep3_sensor(0.95, alpha=2.0, eps1=near, eps2=near), obs, t)
         assert rep.valid_regime
 
+    @pytest.mark.parametrize("offset", [(1.0, 1.0), (1.0, 0.0), (0.0, 1.0)],
+                             ids=["both", "magnon1", "magnon2"])
+    def test_figures_are_taken_about_the_configured_state(self, sensor, chi, offset):
+        # the Hamiltonian sees delta + epsilon only, so an offset configured
+        # as the perturbation or as the detuning is the same state
+        eps = tuple(0.05 * chi ** 3 * x for x in offset)
+        obs = observable("X1-X2", 3)
+        t = 2 * np.pi / chi
+        as_eps = sensitivity(replace(sensor, epsilon=eps), obs, t)
+        as_delta = sensitivity(replace(sensor, delta=eps), obs, t)
+        for field in ("susceptibility", "noise_var", "qfi"):
+            assert getattr(as_eps, field) == \
+                pytest.approx(getattr(as_delta, field), rel=1e-9), field
+
     @pytest.mark.parametrize("eta", [0.5, 0.9])
     def test_fisher_bound_is_of_the_state_after_readout_loss(self, sensor, chi, eta):
         rep = sensitivity(sensor, observable("X1-X2", 3), 2 * np.pi / chi, eta=eta)
@@ -263,6 +279,15 @@ class TestScaling:
     def test_ep4_exponent_exploratory(self):
         fit = scaling_fit("ep4", np.logspace(np.log10(0.018), np.log10(0.19), 9))
         assert fit.exponent == pytest.approx(7.0, abs=0.3)
+
+    def test_qfi_family_is_the_fisher_information_of_the_ep3_states(self):
+        grid = np.logspace(np.log10(0.045), np.log10(0.44), 5)
+        fit = scaling_fit("ep3-qfi", grid)
+        direct = [qfi(ep3_sensor(np.sqrt(1 - chi * chi), alpha=2.0), 2 * np.pi / chi)
+                  for chi in grid]
+        assert np.array_equal(fit.chis, grid)
+        assert np.allclose(fit.values, direct, rtol=1e-12, atol=0)
+        assert np.array_equal(qfi_chi_scaling(grid).values, fit.values)
 
     def test_unknown_family(self):
         with pytest.raises(ConfigurationError):

@@ -70,6 +70,12 @@ def test_spectrum_sweep_over_eta_is_rejected_at_parse_time():
         parse_scenario(MINIMAL.replace("sweep_param = g1", "sweep_param = eta"))
 
 
+def test_theta_t_is_an_unknown_field():
+    # no experiment reads a readout angle, so setting one must not pass silently
+    with pytest.raises(ConfigurationError, match="unknown fields.*theta_t"):
+        parse_scenario(MINIMAL + "theta_t = 1.0\n")
+
+
 def test_apply_sweep_value_paths():
     scn = parse_scenario(MINIMAL)
     cfg = scn.system

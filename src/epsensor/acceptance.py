@@ -10,7 +10,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import SystemConfig, collective_rate, ep3_sensor, ep4_system
+from .config import (ConfigurationError, SystemConfig, collective_rate,
+                     ep3_sensor, ep4_system)
 from .gaussian import (GaussianState, apply_external_loss, coherent_init,
                        evolve, evolve_lossy, excitation_numbers, propagator,
                        readout_swap)
@@ -400,6 +401,10 @@ CRITERIA = (
 
 def run_acceptance(only=None):
     """Run all (or the selected) criteria; returns a JSON-ready report."""
+    unknown = sorted(set(only or ()) - set(range(1, len(CRITERIA) + 1)))
+    if unknown:
+        raise ConfigurationError(
+            f"unknown criterion ids {unknown}: expected 1..{len(CRITERIA)}")
     results = []
     for cid, fn in enumerate(CRITERIA, 1):
         if only and cid not in only:

@@ -54,9 +54,11 @@ def _cmd_run(args):
 
 
 def _cmd_accept(args):
-    only = None
-    if args.only:
+    try:
         only = {int(x) for x in args.only.split(",") if x.strip()}
+    except ValueError:
+        raise ConfigurationError(
+            f"--only: expected comma-separated criterion ids, got {args.only!r}") from None
     report = run_acceptance(only=only)
     for crit in report["criteria"]:
         status = "PASS" if crit["passed"] else "FAIL"

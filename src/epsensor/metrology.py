@@ -59,10 +59,10 @@ def observable(spec, n_modes):
     def flush(token, sign):
         if not token:
             raise ConfigurationError(f"malformed observable {spec!r}")
-        kind, idx = token[0].upper(), int(token[1:])
-        if kind not in "XP" or not 1 <= idx <= n_modes:
-            raise ConfigurationError(f"bad quadrature {token!r} in {spec!r}")
-        c[2 * (idx - 1) + (0 if kind == "X" else 1)] += sign
+        kind, idx = token[0].upper(), token[1:]
+        if kind not in "XP" or not idx.isdecimal() or not 1 <= int(idx) <= n_modes:
+            raise ConfigurationError(f"bad quadrature {token!r} in observable {spec!r}")
+        c[2 * (int(idx) - 1) + (0 if kind == "X" else 1)] += sign
 
     for ch in text:
         if ch == "+" or ch == "-":

@@ -7,8 +7,11 @@ formatted with 17 significant digits and files are written atomically, so
 re-running a scenario reproduces the bytes exactly.
 
 Experiment types: spectrum_sweep, discriminant_map, puiseux, evolve_trace,
-sensitivity_sweep, qfi_trace, scaling, loss_sweep. See the scenarios/
-directory for one worked example of each.
+sensitivity_sweep, qfi_trace, scaling, loss_sweep. One table, _EXPERIMENTS,
+names the driver of each, the fields it reads and the values each field may
+take; a scenario that sets any other field is rejected, and an output header
+echoes only those fields. See the scenarios/ directory for one worked example
+of each.
 """
 
 import json
@@ -27,10 +30,6 @@ from .spectral import (coupling_shift, cubic_discriminant, eigensolve,
                        match_branches, puiseux_fit, same_detuning_shift,
                        single_detuning_shift)
 
-EXPERIMENTS = ("spectrum_sweep", "discriminant_map", "puiseux", "evolve_trace",
-               "sensitivity_sweep", "qfi_trace", "scaling", "loss_sweep")
-
-
 def fmt(value):
     """Stable text form: 17 significant digits for floats."""
     if isinstance(value, (bool, np.bool_)):
@@ -47,33 +46,35 @@ class Scenario:
     name: str
     experiment: str
     system: SystemConfig
-    sweep_param: str = ""
-    sweep_grid: tuple = ()
-    output: str = ""
-    out_format: str = "csv"
-    observable: str = "X1-X2"
-    time: str = "working:1"
-    perturbation: str = "same"
-    family: str = "ep3"
+    sweep_param: str
+    sweep_grid: tuple
+    output: str
+    format: str
+    observable: str
+    time: str
+    perturbation: str
+    family: str
 
 
 def parse_grid(text):
-    """Grid grammar: explicit 'a, b, c', 'linspace:start:stop:num', or
-    'logspace:log10_start:log10_stop:num'."""
-    text = text.strip()
-    if text.startswith("linspace:") or text.startswith("logspace:"):
-        kind, *parts = text.split(":")
-        if len(parts) != 3:
-            raise ConfigurationError(f"bad grid spec {text!r}: need start:stop:num")
-        a, b, num = float(parts[0]), float(parts[1]), int(parts[2])
-        if num < 1:
-            raise ConfigurationError(f"bad grid spec {text!r}: num must be >= 1")
-        grid = np.linspace(a, b, num) if kind == "linspace" else np.logspace(a, b, num)
-        return tuple(float(x) for x in grid)
-    values = tuple(float(x) for x in text.split(",") if x.strip())
-    if not values:
-        raise ConfigurationError(f"empty grid {text!r}")
-    return values
+    """Grid grammar of the sweep_grid field: explicit 'a, b, c',
+    'linspace:start:stop:num', or 'logspace:log10_start:log10_stop:num'. The
+    grid must be non-empty, finite and strictly monotone."""
+    kind, _, spec = text.strip().partition(":")
+    try:
+        if kind in ("linspace", "logspace"):
+            a, b, num = spec.split(":")
+            grid = getattr(np, kind)(float(a), float(b), int(num))
+        else:
+            grid = _floats(text)
+    except ValueError:
+        raise ConfigurationError(f"field 'sweep_grid': cannot read {text!r}") from None
+    diffs = np.diff(grid)
+    if not (len(grid) and np.all(np.isfinite(grid))
+            and (np.all(diffs > 0) or np.all(diffs < 0))):
+        raise ConfigurationError(f"field 'sweep_grid': {text!r} is not a non-empty, "
+                                 "finite, strictly monotone grid")
+    return tuple(float(x) for x in grid)
 
 
 def _parse_kv(text):
@@ -99,69 +100,66 @@ def _complexes(text):
     return tuple(complex(x.replace(" ", "")) for x in text.split(",") if x.strip())
 
 
+def _fields(experiment, sweep_param):
+    """The fields `experiment` reads, each mapped to the values it may take."""
+    _, read = _EXPERIMENTS[experiment]
+    fields = {**_COMMON, **read}
+    if sweep_param == "t":
+        fields.pop("time", None)
+    return fields
+
+
 def parse_scenario(text, name_hint="scenario"):
     """Validate and build a Scenario from key = value text.
 
-    Raises ConfigurationError with a field-level message on any problem.
+    Raises ConfigurationError with a field-level message on any problem,
+    including a field the experiment does not read.
     """
     kv = _parse_kv(text)
-
-    def take(key, default=None):
-        return kv.pop(key, default)
-
-    name = take("name", name_hint)
-    experiment = take("experiment")
-    if experiment not in EXPERIMENTS:
+    experiment = kv.get("experiment")
+    if experiment not in _EXPERIMENTS:
         raise ConfigurationError(
-            f"field 'experiment': got {experiment!r}, expected one of {EXPERIMENTS}")
+            f"field 'experiment': got {experiment!r}, "
+            f"expected one of {tuple(_EXPERIMENTS)}")
+    fields = _fields(experiment, kv.get("sweep_param"))
+    unknown = sorted(set(kv) - set(fields))
+    if unknown:
+        raise ConfigurationError(
+            f"unknown fields for experiment {experiment!r}: {unknown}")
     try:
-        n = int(take("n", "3"))
-        m = int(take("m", "1"))
+        n = int(kv.get("n", "3"))
+        m = int(kv.get("m", "1"))
         system = SystemConfig(
             n=n, m=m,
-            g=_floats(take("g", ",".join(["1.0"] * m))),
-            kappa=_floats(take("kappa", ",".join(["1.0"] * (n - m - 1)))),
-            delta=_floats(take("delta", "")),
-            epsilon=_floats(take("epsilon", "")),
-            gamma=float(take("gamma", "0")),
-            Gamma=float(take("Gamma", "0")),
-            alpha=_complexes(take("alpha", "")),
+            g=_floats(kv.get("g", ",".join(["1.0"] * m))),
+            kappa=_floats(kv.get("kappa", ",".join(["1.0"] * (n - m - 1)))),
+            delta=_floats(kv.get("delta", "")),
+            epsilon=_floats(kv.get("epsilon", "")),
+            gamma=float(kv.get("gamma", "0")),
+            Gamma=float(kv.get("Gamma", "0")),
+            alpha=_complexes(kv.get("alpha", "")),
         )
-    except (ValueError, ConfigurationError) as exc:
+    except ValueError as exc:
         raise ConfigurationError(f"system fields: {exc}") from exc
-
-    sweep_param = take("sweep_param", "")
-    grid_text = take("sweep_grid", "")
-    sweep_grid = parse_grid(grid_text) if grid_text else ()
-    if sweep_grid:
-        diffs = np.diff(sweep_grid)
-        if not (np.all(diffs > 0) or np.all(diffs < 0)):
-            raise ConfigurationError("field 'sweep_grid': grid must be strictly monotone")
-    if not sweep_grid:
-        raise ConfigurationError("field 'sweep_grid': required and non-empty")
-    setters = tuple(_sweep_setters(system))
-    allowed = {"spectrum_sweep": setters, "discriminant_map": setters,
-               "sensitivity_sweep": setters + ("t", "eta"),
-               "loss_sweep": ("gamma", "Gamma", "eta")}.get(experiment)
-    if allowed is not None and sweep_param not in allowed:
-        raise ConfigurationError(
-            f"field 'sweep_param': got {sweep_param!r}, expected one of {allowed}")
-
+    name = kv.get("name", name_hint)
     scenario = Scenario(
         name=name, experiment=experiment, system=system,
-        sweep_param=sweep_param, sweep_grid=sweep_grid,
-        output=take("output", f"{name}.csv"),
-        out_format=take("format", "csv"),
-        observable=take("observable", "X1-X2"),
-        time=take("time", "working:1"),
-        perturbation=take("perturbation", "same"),
-        family=take("family", "ep3"),
-    )
-    if scenario.out_format not in ("csv", "json"):
-        raise ConfigurationError(
-            f"field 'format': got {scenario.out_format!r}, expected csv or json")
-    if kv:
-        raise ConfigurationError(f"unknown fields: {sorted(kv)}")
+        sweep_param=kv.get("sweep_param", ""),
+        sweep_grid=parse_grid(kv.get("sweep_grid", "")),
+        output=kv.get("output", f"{name}.csv"), format=kv.get("format", "csv"),
+        observable=kv.get("observable", "X1-X2"), time=kv.get("time", "working:1"),
+        perturbation=kv.get("perturbation", "same"), family=kv.get("family", "ep3"))
+    for key, values in fields.items():
+        if values is None:
+            continue
+        if values[:1] == _SWEEPS:
+            values = (*_sweep_setters(system), *values[1:])
+        if getattr(scenario, key) not in values:
+            raise ConfigurationError(
+                f"field {key!r}: got {getattr(scenario, key)!r}, expected one of "
+                f"{values} for experiment {experiment!r}")
+    observable(scenario.observable, system.n)
+    _time_terms(scenario.time)
     return scenario
 
 
@@ -203,15 +201,30 @@ def apply_sweep_value(config, param, value):
     return setter(config, value)
 
 
+def _time_terms(text):
+    """Time grammar: a finite number t, or 'working:q' for t = 2 q pi / chi.
+    Returns (t, None) or (None, q)."""
+    text = text.strip()
+    try:
+        if text.startswith("working:"):
+            return None, int(text[len("working:"):])
+        t = float(text)
+    except ValueError:
+        t = np.nan
+    if not np.isfinite(t):
+        raise ConfigurationError(
+            f"field 'time': got {text!r}, expected a finite number or 'working:q'")
+    return t, None
+
+
 def resolve_time(scenario, config):
-    """Time grammar: a number, or 'working:q' for t = 2 q pi / chi."""
-    text = scenario.time.strip()
-    if text.startswith("working:"):
-        return working_point_time(config, int(text.split(":", 1)[1]))
-    return float(text)
+    """The time the scenario's `time` field names, with chi from `config`."""
+    t, q = _time_terms(scenario.time)
+    return t if q is None else working_point_time(config, q)
 
 
 def _resolved_params(scenario):
+    """(field, value) of each field the experiment reads, defaults filled in."""
     cfg = scenario.system
     items = [("name", scenario.name), ("experiment", scenario.experiment),
              ("n", cfg.n), ("m", cfg.m),
@@ -225,11 +238,12 @@ def _resolved_params(scenario):
              ("sweep_grid", ",".join(fmt(x) for x in scenario.sweep_grid)),
              ("observable", scenario.observable), ("time", scenario.time),
              ("perturbation", scenario.perturbation), ("family", scenario.family)]
-    return items
+    fields = _fields(scenario.experiment, scenario.sweep_param)
+    return [(key, value) for key, value in items if key in fields]
 
 
 # ---------------------------------------------------------------------------
-# experiment drivers; each returns (header_rows, column_names, data_rows, summary)
+# experiment drivers; each returns (column_names, data_rows, summary)
 
 def _run_spectrum_sweep(scn):
     cfg = scn.system
@@ -263,12 +277,8 @@ _PERTURBATIONS = {"same": same_detuning_shift, "single": single_detuning_shift,
 
 
 def _run_puiseux(scn):
-    shift = _PERTURBATIONS.get(scn.perturbation)
-    if shift is None:
-        raise ConfigurationError(
-            f"field 'perturbation': got {scn.perturbation!r}, "
-            f"expected one of {sorted(_PERTURBATIONS)}")
-    fit = puiseux_fit(scn.system, np.asarray(scn.sweep_grid), shift)
+    fit = puiseux_fit(scn.system, np.asarray(scn.sweep_grid),
+                      _PERTURBATIONS[scn.perturbation])
     cols = ["eps", "splitting"]
     rows = [[eps, float(v)] for eps, v in zip(scn.sweep_grid, fit.splittings)]
     summary = {"slope": fit.slope, "intercept": fit.intercept,
@@ -294,15 +304,17 @@ def _run_sensitivity_sweep(scn):
     cfg = scn.system
     obs = observable(scn.observable, cfg.n)
     cols = list(SensitivityReport.CSV_FIELDS)
+    mode = scn.perturbation
     rows = []
     for value in scn.sweep_grid:
         if scn.sweep_param == "t":
-            rep = sensitivity(cfg, obs, float(value))
+            rep = sensitivity(cfg, obs, float(value), mode=mode)
         elif scn.sweep_param == "eta":
-            rep = sensitivity(cfg, obs, resolve_time(scn, cfg), eta=float(value))
+            rep = sensitivity(cfg, obs, resolve_time(scn, cfg), mode=mode,
+                              eta=float(value))
         else:
             swept = apply_sweep_value(cfg, scn.sweep_param, value)
-            rep = sensitivity(swept, obs, resolve_time(scn, swept))
+            rep = sensitivity(swept, obs, resolve_time(scn, swept), mode=mode)
         rows.append(rep.csv_row())
     return cols, rows, {"points": len(rows)}
 
@@ -313,8 +325,8 @@ def _run_qfi_trace(scn):
     cols = ["t", "qfi", "qcrb", "inverse_delta_eps"]
     rows = []
     for t in scn.sweep_grid:
-        value = metrology.qfi(cfg, float(t))
-        s = metrology.susceptibility(cfg, obs, float(t))
+        value = metrology.qfi(cfg, float(t), mode=scn.perturbation)
+        s = metrology.susceptibility(cfg, obs, float(t), mode=scn.perturbation)
         nz = metrology.noise_variance(cfg, obs, float(t))
         inv = s / np.sqrt(nz) if nz > 0 else np.inf
         rows.append([t, value, 1.0 / np.sqrt(value) if value > 0 else np.inf, inv])
@@ -330,15 +342,31 @@ def _run_scaling(scn):
                         "excluded": ",".join(fmt(x) for x in fit.excluded)}
 
 
-_DRIVERS = {
-    "spectrum_sweep": _run_spectrum_sweep,
-    "discriminant_map": _run_discriminant_map,
-    "puiseux": _run_puiseux,
-    "evolve_trace": _run_evolve_trace,
-    "sensitivity_sweep": _run_sensitivity_sweep,
-    "qfi_trace": _run_qfi_trace,
-    "scaling": _run_scaling,
-    "loss_sweep": _run_sensitivity_sweep,
+_MODES = ("same", "single", "different")   # the sensed directions of metrology
+_SWEEPS = ("<system>",)     # stands for every name of _sweep_setters(system)
+
+_COMMON = {**dict.fromkeys(("name", "experiment", "sweep_grid", "output")),
+           "format": ("csv", "json")}
+_SYSTEM = dict.fromkeys(("n", "m", "g", "kappa", "delta", "epsilon", "gamma", "Gamma"))
+_STATE = {**_SYSTEM, "alpha": None, "observable": None}
+_SENSING = {**_STATE, "time": None, "perturbation": _MODES}
+
+# Each experiment's driver and the fields it reads, each field mapped to the
+# values it may take (None: any value of the field's own grammar); every
+# experiment also reads the _COMMON fields. parse_scenario rejects every other
+# field and _resolved_params echoes only these, so a header states no setting
+# the rows do not follow. A sweep over t reads no time (_fields).
+_EXPERIMENTS = {
+    "spectrum_sweep": (_run_spectrum_sweep, {**_SYSTEM, "sweep_param": _SWEEPS}),
+    "discriminant_map": (_run_discriminant_map, {**_SYSTEM, "sweep_param": _SWEEPS}),
+    "puiseux": (_run_puiseux, {**_SYSTEM, "perturbation": tuple(_PERTURBATIONS)}),
+    "evolve_trace": (_run_evolve_trace, _STATE),
+    "sensitivity_sweep": (_run_sensitivity_sweep,
+                          {**_SENSING, "sweep_param": _SWEEPS + ("t", "eta")}),
+    "qfi_trace": (_run_qfi_trace, {**_STATE, "perturbation": _MODES}),
+    "scaling": (_run_scaling, {"family": tuple(metrology._SCALING_POINTS)}),
+    "loss_sweep": (_run_sensitivity_sweep,
+                   {**_SENSING, "sweep_param": ("gamma", "Gamma", "eta")}),
 }
 
 
@@ -381,9 +409,9 @@ def render_json(scenario, cols, rows, summary):
 
 def run_scenario(scenario, out_dir=".", out_format=None):
     """Execute a scenario and write its output file; returns a summary dict."""
-    driver = _DRIVERS[scenario.experiment]
+    driver, _ = _EXPERIMENTS[scenario.experiment]
     cols, rows, summary = driver(scenario)
-    form = out_format or scenario.out_format
+    form = out_format or scenario.format
     output = scenario.output
     if out_format and output.endswith(".csv") and out_format == "json":
         output = output[:-4] + ".json"

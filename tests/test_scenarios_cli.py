@@ -4,7 +4,8 @@ import os
 import numpy as np
 import pytest
 
-from epsensor import ConfigurationError
+from epsensor import (ConfigurationError, ep3_sensor, noise_variance,
+                      observable, qfi, susceptibility)
 from epsensor.cli import main
 from epsensor.scenarios import (apply_sweep_value, fmt, load_scenario,
                                 parse_grid, parse_scenario, run_scenario)
@@ -43,6 +44,9 @@ def test_parse_grid_forms():
     ("experiment = warp_drive", "experiment"),
     ("sweep_param = q7", "sweep_param"),
     ("sweep_grid = 1, 1, 2", "monotone"),
+    ("sweep_grid = abc", "sweep_grid"),
+    ("sweep_grid = linspace:0:1:2.5", "sweep_grid"),
+    ("sweep_grid = 1, inf", "sweep_grid"),
     ("format = yaml", "format"),
     ("n = 3\nn = 4", "duplicate"),
     ("mystery_key = 1", "unknown"),
@@ -68,6 +72,104 @@ def test_sweep_param_outside_the_system_is_rejected_at_parse_time():
 def test_spectrum_sweep_over_eta_is_rejected_at_parse_time():
     with pytest.raises(ConfigurationError, match="sweep_param"):
         parse_scenario(MINIMAL.replace("sweep_param = g1", "sweep_param = eta"))
+
+
+SENSOR = """
+n = 3
+m = 1
+g = 0.95
+kappa = 1.0
+alpha = 2j, -2j
+"""
+
+
+def _scenario(experiment, *lines):
+    return f"experiment = {experiment}\n" + SENSOR + "".join(f"{ln}\n" for ln in lines)
+
+
+@pytest.mark.parametrize("text,fragment", [
+    pytest.param(_scenario("evolve_trace", "observable = Xa", "sweep_grid = 1, 2"),
+                 "observable", id="observable"),
+    pytest.param(_scenario("sensitivity_sweep", "sweep_param = g1",
+                           "sweep_grid = 0.9, 0.95", "time = working:x"),
+                 "time", id="time-working"),
+    pytest.param(_scenario("loss_sweep", "sweep_param = gamma", "sweep_grid = 0, 0.1",
+                           "time = abc"), "time", id="time-number"),
+    pytest.param(_scenario("sensitivity_sweep", "sweep_param = g1",
+                           "sweep_grid = 0.9, 0.95", "time = nan"), "time", id="time-nan"),
+    pytest.param("experiment = scaling\nfamily = ep5\n"
+                 "sweep_grid = logspace:-1.35:-0.36:5\n", "family", id="family"),
+    pytest.param(_scenario("qfi_trace", "perturbation = sideways", "sweep_grid = 1, 2"),
+                 "perturbation", id="perturbation"),
+])
+def test_field_values_are_checked_at_parse_time(text, fragment):
+    with pytest.raises(ConfigurationError, match=fragment):
+        parse_scenario(text)
+
+
+@pytest.mark.parametrize("text,field", [
+    pytest.param(MINIMAL + "alpha = 2j, -2j\n", "alpha", id="alpha-spectrum_sweep"),
+    pytest.param("experiment = scaling\nn = 3\nsweep_grid = logspace:-1.35:-0.36:5\n",
+                 "n", id="n-scaling"),
+    pytest.param("experiment = puiseux\nsweep_param = g1\n"
+                 "sweep_grid = logspace:-9:-5:5\n", "sweep_param", id="sweep_param-puiseux"),
+    pytest.param(_scenario("evolve_trace", "sweep_param = g1", "sweep_grid = 1, 2"),
+                 "sweep_param", id="sweep_param-evolve_trace"),
+    pytest.param(_scenario("qfi_trace", "time = working:1", "sweep_grid = 1, 2"),
+                 "time", id="time-qfi_trace"),
+    pytest.param(_scenario("sensitivity_sweep", "sweep_param = t", "sweep_grid = 1, 2",
+                           "time = working:1"), "time", id="time-t_sweep"),
+    pytest.param(_scenario("sensitivity_sweep", "sweep_param = g1",
+                           "sweep_grid = 0.9, 0.95", "perturbation = coupling"),
+                 "perturbation", id="coupling-sensitivity_sweep"),
+    pytest.param("experiment = puiseux\nperturbation = different\n"
+                 "sweep_grid = logspace:-9:-5:5\n", "perturbation", id="different-puiseux"),
+    pytest.param(MINIMAL + "family = ep3\n", "family", id="family-spectrum_sweep"),
+])
+def test_fields_the_experiment_does_not_read_are_rejected(text, field):
+    experiment = text.split("experiment = ", 1)[1].split("\n", 1)[0]
+    with pytest.raises(ConfigurationError,
+                       match=f"'{field}'.*{experiment}|{experiment}.*'{field}'"):
+        parse_scenario(text)
+
+
+def test_scaling_output_echoes_only_the_fields_it_reads(tmp_path):
+    scn = parse_scenario("name = sc\nexperiment = scaling\nfamily = ep2\n"
+                         "sweep_grid = logspace:-1.35:-0.36:5\n")
+    expected = ["name", "experiment", "sweep_grid", "family"]
+    csv = open(run_scenario(scn, out_dir=str(tmp_path))["output"]).read()
+    header = [line[2:].split(" = ", 1)[0] for line in csv.splitlines()
+              if line.startswith("# ") and not line.startswith("# summary.")]
+    assert header == expected
+    doc = json.loads(open(run_scenario(scn, out_dir=str(tmp_path),
+                                       out_format="json")["output"]).read())
+    assert sorted(doc["meta"]) == sorted(expected)
+
+
+def _rows(path):
+    lines = [line for line in open(path).read().splitlines() if not line.startswith("#")]
+    return [dict(zip(lines[0].split(","), row.split(","))) for row in lines[1:]]
+
+
+def test_sensitivity_sweep_senses_the_configured_perturbation(tmp_path):
+    text = _scenario("sensitivity_sweep", "sweep_param = t", "sweep_grid = 10",
+                     "perturbation = single")
+    row, = _rows(run_scenario(parse_scenario(text), out_dir=str(tmp_path))["output"])
+    expected = susceptibility(ep3_sensor(0.95, alpha=2.0), observable("X1-X2", 3),
+                              10.0, mode="single")
+    assert expected == pytest.approx(6109, rel=1e-3)
+    assert float(row["susceptibility"]) == pytest.approx(expected, rel=1e-12)
+
+
+def test_qfi_trace_senses_the_configured_perturbation(tmp_path):
+    text = _scenario("qfi_trace", "sweep_grid = 10", "perturbation = single")
+    row, = _rows(run_scenario(parse_scenario(text), out_dir=str(tmp_path))["output"])
+    config = ep3_sensor(0.95, alpha=2.0)
+    assert float(row["qfi"]) == pytest.approx(qfi(config, 10.0, mode="single"), rel=1e-12)
+    obs = observable("X1-X2", 3)
+    inverse = susceptibility(config, obs, 10.0, mode="single") \
+        / np.sqrt(noise_variance(config, obs, 10.0))
+    assert float(row["inverse_delta_eps"]) == pytest.approx(inverse, rel=1e-12)
 
 
 def test_theta_t_is_an_unknown_field():
@@ -137,6 +239,15 @@ def test_cli_reports_config_error(tmp_path, capsys):
     code = main(["run", str(scn_path)])
     assert code == 2
     assert "experiment" in capsys.readouterr().err
+
+
+def test_cli_writes_nothing_when_a_later_scenario_is_malformed(tmp_path, capsys):
+    good, bad = tmp_path / "a.scn", tmp_path / "b.scn"
+    good.write_text(MINIMAL)
+    bad.write_text(_scenario("evolve_trace", "observable = Xa", "sweep_grid = 1, 2"))
+    assert main(["run", str(good), str(bad), "--out", str(tmp_path / "out")]) == 2
+    assert "observable" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_runs_several_scenarios_in_one_call(tmp_path):
@@ -234,3 +345,10 @@ def test_accept_subset_cli(tmp_path, capsys):
     report = json.loads((tmp_path / "acceptance_report.json").read_text())
     assert report["criteria"][0]["id"] == 9
     assert report["passed"]
+
+
+@pytest.mark.parametrize("only", ["13", "x", "1,0"])
+def test_accept_rejects_an_unknown_criterion_id(tmp_path, capsys, only):
+    assert main(["accept", "--only", only, "--out", str(tmp_path)]) == 2
+    assert "criterion ids" in capsys.readouterr().err
+    assert not (tmp_path / "acceptance_report.json").exists()

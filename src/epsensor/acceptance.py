@@ -373,7 +373,7 @@ def criterion_12_feasibility():
     """Physical-units spot check at g/kappa = 0.995, alpha = 100,
     kappa = 2 pi * 500 kHz."""
     res = CriterionResult(12, "Experimental-feasibility spot check")
-    fc = feasibility_check(g_ratio=0.995, alpha=100.0, kappa_hz=5.0e5, q=1)
+    fc = feasibility_check()
     value = fc["sensitivity_hz_per_rt_hz"]
     factor = max(value / FEASIBILITY_REFERENCE, FEASIBILITY_REFERENCE / value)
     res.add("delta_eps * sqrt(t) [Hz/sqrt(Hz)]", value,

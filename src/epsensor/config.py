@@ -107,9 +107,8 @@ class SystemConfig:
             raise ConfigurationError(f"unknown perturbation mode {mode!r}")
         return replace(self, epsilon=new)
 
-    def with_losses(self, gamma=None, Gamma=None):
-        return replace(self, gamma=self.gamma if gamma is None else float(gamma),
-                       Gamma=self.Gamma if Gamma is None else float(Gamma))
+    def with_losses(self, gamma, Gamma):
+        return replace(self, gamma=float(gamma), Gamma=float(Gamma))
 
 
 def collective_rate(config):

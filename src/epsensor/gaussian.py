@@ -10,7 +10,6 @@ State vectors are ordered (X1, P1, ..., Xn, Pn) with the cavity last.
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import expm
 
 from .config import ConfigurationError, NumericalError
 from .model import build_system, reduced_mode_kinds
@@ -81,11 +80,10 @@ class GaussianState:
 
 @dataclass(frozen=True)
 class Propagator:
-    """Reduced-basis operator propagator K, the real quadrature map S_quad
-    and the covariance Q added by vacuum-input diffusion (zero when the
+    """Affine Gaussian map over time t: the real quadrature map S_quad and
+    the covariance Q added by vacuum-input diffusion (zero when the
     configuration is lossless)."""
 
-    K: np.ndarray
     S_quad: np.ndarray
     Q: np.ndarray
     t: float
@@ -137,14 +135,10 @@ def coherent_init(config):
 def _lift_to_full(K, kinds):
     """Expand the reduced operator map to the interleaved (c, c^+) basis by
     conjugation symmetry."""
-    n = len(kinds)
-    Kf = np.zeros((2 * n, 2 * n), dtype=complex)
-    for p, (mp, dag_p) in enumerate(kinds):
-        for q, (mq, dag_q) in enumerate(kinds):
-            ip = 2 * mp + (1 if dag_p else 0)
-            iq = 2 * mq + (1 if dag_q else 0)
-            Kf[ip, iq] = K[p, q]
-            Kf[ip ^ 1, iq ^ 1] = np.conj(K[p, q])
+    idx = np.array([2 * mode + dag for mode, dag in kinds])
+    Kf = np.zeros((2 * len(kinds), 2 * len(kinds)), dtype=complex)
+    Kf[idx[:, None], idx] = K
+    Kf[idx[:, None] ^ 1, idx ^ 1] = np.conj(K)
     return Kf
 
 
@@ -164,33 +158,39 @@ COND_SWITCH = 1e8
 
 
 def propagator(config, t):
-    """Exact affine Gaussian map over time t: K(t) = exp(-i h t), its
-    quadrature map S and the diffusion covariance
+    """Exact affine Gaussian map over time t: the quadrature map
+    S(t) = exp(A t) of the drift A and the diffusion covariance
     Q(t) = int_0^t S(s) D S(s)^T ds of a lossy configuration.
 
-    Uses the eigen-decomposition when the eigenvector matrix is well enough
-    conditioned (cond(V) < COND_SWITCH) and falls back to scaling-and-squaring
-    expm for nearly defective spectra, close to or at exceptional points.
+    Uses the eigen-decomposition K = V diag(e^{-i lambda t}) V^-1 of the
+    reduced matrix when V is well enough conditioned (cond(V) < COND_SWITCH).
+    For nearly defective spectra, close to or at exceptional points, it falls
+    back to one scaling-and-squaring exponential of the Van Loan block
+    expm([[-A, D], [0, A^T]] t) = [[F11, F12], [0, F22]], which gives
+    S = F22^T and Q = S F12 (Van Loan, IEEE TAC 23:395, 1978).
     """
-    kinds = reduced_mode_kinds(config)
     spec = eigensolve(config)
     V = spec.right_vectors
     cond = float(np.linalg.cond(V))
-    if cond < COND_SWITCH:
-        Vinv = np.linalg.inv(V)
-        K = V @ np.diag(np.exp(-1j * spec.eigenvalues * t)) @ Vinv
-        used = "eigen"
-    else:
-        K = expm(-1j * build_system(config).reduced * t)
-        used = "expm"
+    if cond >= COND_SWITCH:
+        # imported here: scipy.linalg costs more to import than numpy, and
+        # only nearly defective spectra need it
+        from scipy.linalg import expm
+        A, D = drift_and_diffusion(config)
+        m = len(A)
+        F = expm(np.block([[-A, D], [np.zeros_like(A), A.T]]) * t)
+        S = F[m:, m:].T
+        return Propagator(S_quad=S, Q=S @ F[:m, m:], t=float(t), method="expm",
+                          condition_number=cond)
+    kinds = reduced_mode_kinds(config)
+    Vinv = np.linalg.inv(V)
+    K = V @ np.diag(np.exp(-1j * spec.eigenvalues * t)) @ Vinv
     S = operator_to_quadrature(K, kinds)
     if config.lossless:
         Q = np.zeros_like(S)
-    elif used == "eigen":
-        Q = _eigen_diffusion(config, kinds, V, Vinv, spec.eigenvalues, t)
     else:
-        Q = _van_loan_diffusion(config, t)
-    return Propagator(K=K, S_quad=S, Q=Q, t=float(t), method=used,
+        Q = _eigen_diffusion(config, kinds, V, Vinv, spec.eigenvalues, t)
+    return Propagator(S_quad=S, Q=Q, t=float(t), method="eigen",
                       condition_number=cond)
 
 
@@ -209,14 +209,6 @@ def _eigen_diffusion(config, kinds, V, Vinv, eigenvalues, t):
     nz = s != 0
     F[nz] = np.expm1(s[nz] * t) / s[nz]
     return (W @ ((Winv @ D @ Winv.T) * F) @ W.T).real
-
-
-def _van_loan_diffusion(config, t):
-    """Q = F22^T F12 from expm([[-A, D], [0, A^T]] t) = [[F11, F12], [0, F22]]."""
-    A, D = drift_and_diffusion(config)
-    m = len(A)
-    F = expm(np.block([[-A, D], [np.zeros_like(A), A.T]]) * t)
-    return F[m:, m:].T @ F[:m, m:]
 
 
 def evolve(state, prop):

@@ -75,8 +75,8 @@ def observable(spec, n_modes):
     return Observable(coefficients=c, name=spec)
 
 
-def x_minus(n_modes=3):
-    return observable("X1-X2", n_modes)
+def x_minus():
+    return observable("X1-X2", 3)
 
 
 @dataclass(frozen=True)
@@ -444,12 +444,15 @@ UNIT_CONVENTION = (
     "delta_eps[Hz] * sqrt(t[s]) in Hz/sqrt(Hz)")
 
 
-def feasibility_check(g_ratio=0.995, alpha=100.0, kappa_hz=5.0e5, q=1):
+def feasibility_check():
     """Sensitivity of the sensor at an experimentally motivated operating
-    point, converted to physical units under the documented convention."""
+    point, g/kappa = 0.995, alpha = 100 and kappa = 2 pi * 500 kHz at
+    t = 2 pi / chi, converted to physical units under the documented
+    convention."""
+    g_ratio, alpha, kappa_hz = 0.995, 100.0, 5.0e5
     config = ep3_sensor(g_ratio, alpha=alpha)
     chi = collective_rate(config)
-    t = 2.0 * np.pi * q / chi
+    t = 2.0 * np.pi / chi
     obs = x_minus()
     s = susceptibility(config, obs, t, method="fd")
     nz = noise_variance(config, obs, t)

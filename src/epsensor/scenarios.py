@@ -160,6 +160,9 @@ def parse_scenario(text, name_hint="scenario"):
                 f"{values} for experiment {experiment!r}")
     observable(scenario.observable, system.n)
     _time_terms(scenario.time)
+    times = scenario.sweep_param == "t" or experiment in ("evolve_trace", "qfi_trace")
+    if times and min(scenario.sweep_grid) < 0:
+        raise ConfigurationError("field 'sweep_grid': a grid of times must not be negative")
     return scenario
 
 
@@ -202,19 +205,20 @@ def apply_sweep_value(config, param, value):
 
 
 def _time_terms(text):
-    """Time grammar: a finite number t, or 'working:q' for t = 2 q pi / chi.
-    Returns (t, None) or (None, q)."""
+    """Time grammar: a finite number t > 0, or 'working:q' with an integer
+    q >= 1 for t = 2 q pi / chi. Returns (t, None) or (None, q)."""
     text = text.strip()
     try:
         if text.startswith("working:"):
-            return None, int(text[len("working:"):])
-        t = float(text)
+            q = int(text[len("working:"):])
+            if q >= 1:
+                return None, q
+        elif 0 < float(text) < np.inf:
+            return float(text), None
     except ValueError:
-        t = np.nan
-    if not np.isfinite(t):
-        raise ConfigurationError(
-            f"field 'time': got {text!r}, expected a finite number or 'working:q'")
-    return t, None
+        pass
+    raise ConfigurationError(f"field 'time': got {text!r}, expected a finite "
+                             "number > 0 or 'working:q' with an integer q >= 1")
 
 
 def resolve_time(scenario, config):

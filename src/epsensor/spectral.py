@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .config import ConfigurationError, NumericalError, SystemConfig
-from .model import DynamicalMatrix, build_system
+from .model import build_system
 
 EPS = np.finfo(float).eps
 ABERTH_TOL = 1e-14           # relative update size at which a root has stalled
@@ -288,19 +288,16 @@ def default_cluster_radius(H):
 def eigensolve(system, cluster_radius=None):
     """Full spectral data of a dynamical matrix (reduced basis).
 
-    Accepts a SystemConfig, DynamicalMatrix, or a bare square matrix. For
-    the lossless three-mode system the closed cubic solution is used and
-    cross-checked against the polynomial solver; the general path covers
-    everything else. Eigenvalues are sorted by (Re, Im) so that parameter
-    sweeps produce continuous branches.
+    Accepts a SystemConfig or a bare square matrix. For the lossless
+    three-mode system the closed cubic solution is used and cross-checked
+    against the polynomial solver; the general path covers everything else.
+    Eigenvalues are sorted by (Re, Im) so that parameter sweeps produce
+    continuous branches.
     """
     config = None
     if isinstance(system, SystemConfig):
         config = system
         H = build_system(system).reduced
-    elif isinstance(system, DynamicalMatrix):
-        config = system.config
-        H = system.reduced
     else:
         H = np.asarray(system, dtype=complex)
         if H.ndim != 2 or H.shape[0] != H.shape[1]:

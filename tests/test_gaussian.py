@@ -1,8 +1,13 @@
+import os
+import subprocess
+import sys
+
 import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import epsensor
 from epsensor import (ConfigurationError, GaussianState, SystemConfig,
                       apply_external_loss, bloch_messiah_2mode, build_system,
                       coherent_init, collective_rate, ep3_sensor, evolve,
@@ -48,7 +53,6 @@ class TestStates:
 class TestPropagator:
     def test_identity_at_zero_time(self):
         P = propagator(ep3_sensor(0.9), 0.0)
-        assert np.abs(P.K - np.eye(3)).max() < 1e-14
         assert np.abs(P.S_quad - np.eye(6)).max() < 1e-14
 
     def test_identity_at_working_point(self):
@@ -56,19 +60,32 @@ class TestPropagator:
         t = 2 * np.pi / collective_rate(cfg)
         P = propagator(cfg, t)
         assert P.method == "eigen"
-        assert np.abs(P.K - np.eye(3)).max() < 1e-10
+        assert np.abs(P.S_quad - np.eye(6)).max() < 1e-10
 
     def test_defective_point_matches_taylor_series(self):
-        # at the triple point the generator is nilpotent (H^3 = 0), so the
-        # exponential truncates exactly: the series is the oracle
+        # at the triple point the generator is nilpotent (H^3 = 0, so A^3 = 0
+        # for the quadrature drift), so the exponential truncates exactly:
+        # the series is the oracle
         cfg = ep3_sensor(1.0)
         H = build_system(cfg).reduced
         assert np.abs(H @ H @ H).max() == 0
+        A = drift_and_diffusion(cfg)[0]
         for t in (0.5, 1.0, 3.7):
             P = propagator(cfg, t)
-            series = np.eye(3) - 1j * H * t - H @ H * t * t / 2
+            series = np.eye(6) + A * t + A @ A * t * t / 2
             assert P.method == "expm"
-            assert np.abs(P.K - series).max() < 1e-12
+            assert np.abs(P.S_quad - series).max() < 1e-12
+            assert not P.Q.any()
+
+    def test_import_leaves_scipy_linalg_unloaded(self):
+        # scipy.linalg is imported only on the nearly defective fallback
+        src = os.path.dirname(os.path.dirname(epsensor.__file__))
+        path = (src, os.environ.get("PYTHONPATH", ""))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+        code = "import sys, epsensor; print('scipy.linalg' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True, timeout=120).stdout
+        assert out.strip() == "False"
 
     @given(g=st.floats(0.3, 0.99), t=st.floats(0.0, 50.0))
     @settings(max_examples=40)

@@ -101,6 +101,12 @@ def _scenario(experiment, *lines):
                  "sweep_grid = logspace:-1.35:-0.36:5\n", "family", id="family"),
     pytest.param(_scenario("qfi_trace", "perturbation = sideways", "sweep_grid = 1, 2"),
                  "perturbation", id="perturbation"),
+    *(pytest.param(_scenario("sensitivity_sweep", "sweep_param = g1",
+                             "sweep_grid = 0.9, 0.95", f"time = {time}"),
+                   "time", id=f"time={time}")
+      for time in ("working:0", "working:-1", "-5", "0")),
+    pytest.param(_scenario("evolve_trace", "sweep_grid = -5, 1"), "sweep_grid",
+                 id="negative-time-grid"),
 ])
 def test_field_values_are_checked_at_parse_time(text, fragment):
     with pytest.raises(ConfigurationError, match=fragment):

@@ -149,7 +149,7 @@ def operator_to_quadrature(K, kinds):
     S = T @ _lift_to_full(K, kinds) @ T.conj().T
     imag = float(np.abs(S.imag).max())
     scale = max(1.0, float(np.abs(S.real).max()))
-    if imag > 1e-8 * scale:
+    if imag > 1e-12 * scale:
         raise NumericalError(f"quadrature map not real: imaginary residual {imag:.3e}")
     return S.real
 
@@ -157,10 +157,11 @@ def operator_to_quadrature(K, kinds):
 COND_SWITCH = 1e8
 
 
-def propagator(config, t):
-    """Exact affine Gaussian map over time t: the quadrature map
-    S(t) = exp(A t) of the drift A and the diffusion covariance
-    Q(t) = int_0^t S(s) D S(s)^T ds of a lossy configuration.
+def propagators(config):
+    """Exact affine Gaussian maps of one configuration: returns at(t), the
+    Propagator over time t, with the quadrature map S(t) = exp(A t) of the
+    drift A and the diffusion covariance Q(t) = int_0^t S(s) D S(s)^T ds of a
+    lossy configuration.
 
     Uses the eigen-decomposition K = V diag(e^{-i lambda t}) V^-1 of the
     reduced matrix when V is well enough conditioned (cond(V) < COND_SWITCH).
@@ -168,6 +169,10 @@ def propagator(config, t):
     back to one scaling-and-squaring exponential of the Van Loan block
     expm([[-A, D], [0, A^T]] t) = [[F11, F12], [0, F22]], which gives
     S = F22^T and Q = S F12 (Van Loan, IEEE TAC 23:395, 1978).
+
+    Everything that depends on the configuration alone (the spectrum, V^-1
+    and the diffusion in the drift eigenbasis, or the Van Loan block) is
+    computed once, here; at(t) does only the work that depends on t.
     """
     spec = eigensolve(config)
     V = spec.right_vectors
@@ -178,37 +183,56 @@ def propagator(config, t):
         from scipy.linalg import expm
         A, D = drift_and_diffusion(config)
         m = len(A)
-        F = expm(np.block([[-A, D], [np.zeros_like(A), A.T]]) * t)
-        S = F[m:, m:].T
-        return Propagator(S_quad=S, Q=S @ F[:m, m:], t=float(t), method="expm",
-                          condition_number=cond)
+        block = np.block([[-A, D], [np.zeros_like(A), A.T]])
+
+        def at(t):
+            F = expm(block * t)
+            S = F[m:, m:].T
+            return Propagator(S_quad=S, Q=S @ F[:m, m:], t=float(t), method="expm",
+                              condition_number=cond)
+        return at
+
     kinds = reduced_mode_kinds(config)
     Vinv = np.linalg.inv(V)
-    K = V @ np.diag(np.exp(-1j * spec.eigenvalues * t)) @ Vinv
-    S = operator_to_quadrature(K, kinds)
-    if config.lossless:
-        Q = np.zeros_like(S)
-    else:
-        Q = _eigen_diffusion(config, kinds, V, Vinv, spec.eigenvalues, t)
-    return Propagator(S_quad=S, Q=Q, t=float(t), method="eigen",
-                      condition_number=cond)
+    lam = spec.eigenvalues
+    diffusion = None if config.lossless else _eigen_diffusion(config, kinds, V, Vinv, lam)
+
+    def at(t):
+        K = V @ np.diag(np.exp(-1j * lam * t)) @ Vinv
+        S = operator_to_quadrature(K, kinds)
+        Q = np.zeros_like(S) if diffusion is None else diffusion(t)
+        return Propagator(S_quad=S, Q=Q, t=float(t), method="eigen",
+                          condition_number=cond)
+    return at
 
 
-def _eigen_diffusion(config, kinds, V, Vinv, eigenvalues, t):
-    """Q = W Qt W^T in the drift eigenbasis W = T lift(V), whose eigenvalues
-    are -i lambda on the reduced slots and i conj(lambda) on their partners:
-    Qt_ij = Dt_ij (e^{(l_i+l_j) t} - 1)/(l_i+l_j), with the limit t where
-    l_i + l_j = 0, and Dt = W^-1 D W^-T (Van Loan, IEEE TAC 23:395, 1978)."""
+def propagator(config, t):
+    """The Propagator of config over time t; see `propagators`, which callers
+    that ask for many times of one configuration use instead."""
+    return propagators(config)(t)
+
+
+def _eigen_diffusion(config, kinds, V, Vinv, eigenvalues):
+    """Q(t) = W Qt W^T in the drift eigenbasis W = T lift(V), whose
+    eigenvalues are -i lambda on the reduced slots and i conj(lambda) on their
+    partners: Qt_ij = Dt_ij (e^{(l_i+l_j) t} - 1)/(l_i+l_j), with the limit t
+    where l_i + l_j = 0, and Dt = W^-1 D W^-T (Van Loan, IEEE TAC 23:395,
+    1978). Returns Q as a function of t."""
     D = _diffusion(config)
     T = np.kron(np.eye(config.n), _T2)
     W = T @ _lift_to_full(V, kinds)
     Winv = _lift_to_full(Vinv, kinds) @ T.conj().T
+    Dt = Winv @ D @ Winv.T
     rates = np.diag(_lift_to_full(np.diag(-1j * eigenvalues), kinds))
     s = rates[:, None] + rates[None, :]
-    F = np.full(s.shape, float(t), dtype=complex)
     nz = s != 0
-    F[nz] = np.expm1(s[nz] * t) / s[nz]
-    return (W @ ((Winv @ D @ Winv.T) * F) @ W.T).real
+    s_nz = s[nz]
+
+    def Q(t):
+        F = np.full(s.shape, float(t), dtype=complex)
+        F[nz] = np.expm1(s_nz * t) / s_nz
+        return (W @ (Dt * F) @ W.T).real
+    return Q
 
 
 def evolve(state, prop):
@@ -229,14 +253,9 @@ def drift_and_diffusion(config):
     vacuum input keeps cov = I/2 exactly, which pins D = rate * I per mode
     pair and removes any noise-normalization ambiguity.
     """
-    h = build_system(config).reduced
-    kinds = reduced_mode_kinds(config)
-    n = config.n
-    T = np.kron(np.eye(n), _T2)
-    G = T @ _lift_to_full(-1j * h, kinds) @ T.conj().T
-    if np.abs(G.imag).max() > 1e-12 * max(1.0, np.abs(G.real).max()):
-        raise NumericalError("drift matrix is not real")
-    return G.real, _diffusion(config)
+    G = operator_to_quadrature(-1j * build_system(config).reduced,
+                               reduced_mode_kinds(config))
+    return G, _diffusion(config)
 
 
 def _diffusion(config):
@@ -251,7 +270,8 @@ def evolve_lossy(state, config, t):
 
 def evolve_lossy_trace(state, config, times):
     """States at each of `times`, each propagated from `state`."""
-    return [evolve(state, propagator(config, t)) for t in times]
+    at = propagators(config)
+    return [evolve(state, at(t)) for t in times]
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,8 @@ import numpy as np
 from .config import (ConfigurationError, RegimeError, collective_rate,
                      ep3_sensor, ep4_system)
 from .gaussian import (apply_external_loss, coherent_init, evolve, propagator,
-                       total_excitation, two_mode_squeezer_coefficients)
+                       propagators, total_excitation,
+                       two_mode_squeezer_coefficients)
 from .model import ep4_locus
 from .perturb import regime_ok
 from .spectral import _log_fit, eigensolve
@@ -285,7 +286,8 @@ def peak_total_excitation(config, t, samples=256):
     (the documented N convention for SQL comparisons)."""
     times = np.linspace(0.0, t, samples + 1)[1:]
     state0 = coherent_init(config)
-    states = [state0] + [evolve(state0, propagator(config, ti)) for ti in times]
+    at = propagators(config)
+    states = [state0] + [evolve(state0, at(ti)) for ti in times]
     return max(total_excitation(s) for s in states)
 
 

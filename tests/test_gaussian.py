@@ -14,7 +14,11 @@ from epsensor import (ConfigurationError, GaussianState, SystemConfig,
                       evolve_lossy, excitation_numbers, propagator,
                       readout_swap, symplectic_form, total_excitation,
                       two_mode_squeezer_coefficients, vacuum_state)
-from epsensor.gaussian import drift_and_diffusion, two_mode_quadrature_map
+from epsensor import gaussian
+from epsensor.gaussian import (drift_and_diffusion, evolve_lossy_trace,
+                               two_mode_quadrature_map)
+from epsensor.metrology import peak_total_excitation
+from epsensor.perturb import exact_propagator_coefficients
 
 settings.register_profile("suite", deadline=None, derandomize=True)
 settings.load_profile("suite")
@@ -226,6 +230,60 @@ class TestLossyEvolution:
         t = 2 * np.pi / collective_rate(lossy)
         out = evolve_lossy(coherent_init(lossy), lossy, t)
         assert out.uncertainty_min_eigenvalue() > -1e-10
+
+
+class TestDecomposeOnce:
+    @pytest.mark.parametrize("cfg", [
+        ep3_sensor(0.95, alpha=2.0),
+        ep3_sensor(0.95, alpha=2.0, gamma=0.1, Gamma=0.01),
+        ep3_sensor(1 - 1e-9, alpha=2.0),                  # expm fallback
+    ], ids=["lossless", "lossy", "nearly-defective"])
+    def test_one_eigensolve_per_configuration(self, monkeypatch, cfg):
+        calls = []
+        solve = gaussian.eigensolve
+
+        def counted(config, *args, **kwargs):
+            calls.append(config)
+            return solve(config, *args, **kwargs)
+
+        monkeypatch.setattr(gaussian, "eigensolve", counted)
+        peak_total_excitation(cfg, 5.0)
+        assert len(calls) == 1
+        calls.clear()
+        states = evolve_lossy_trace(coherent_init(cfg), cfg, np.linspace(0.5, 5.0, 10))
+        assert len(calls) == 1 and len(states) == 10
+
+
+def _residue_total_excitation(cfg, t):
+    """Total excitation of the lossless sensor from the residue-form reduced
+    propagator K on the slots (b1, b2^+, a^+): the means are K c(0), and each
+    slot's vacuum part is the sum of |K_ij|^2 over the slots j of the other
+    kind (annihilation versus creation operator)."""
+    K = exact_propagator_coefficients(cfg.g[0], *cfg.epsilon, t).as_matrix()
+    dagger = np.array([False, True, True])
+    c0 = np.array([cfg.alpha[0], np.conj(cfg.alpha[1]), 0.0])
+    vacuum = (np.abs(K) ** 2)[dagger[:, None] != dagger[None, :]].sum()
+    return float(np.sum(np.abs(K @ c0) ** 2) + vacuum)
+
+
+def _mp_total_excitation(cfg, t):
+    mu, cov = _mp_van_loan_state(cfg, t)
+    return float(mu @ mu / 2.0 + (np.trace(cov) - cfg.n) / 2.0)
+
+
+class TestPeakExcitation:
+    @pytest.mark.parametrize("cfg, reference", [
+        (ep3_sensor(0.95, alpha=2.0), _residue_total_excitation),
+        (ep3_sensor(0.999, alpha=2.0), _residue_total_excitation),
+        (ep3_sensor(0.95, alpha=2.0, gamma=0.1, Gamma=0.01), _mp_total_excitation),
+    ], ids=["g0.95", "g0.999", "lossy-g0.95"])
+    def test_peak_matches_independent_reference(self, cfg, reference):
+        t = 2 * np.pi / np.sqrt(1 - cfg.g[0] ** 2)
+        times = np.linspace(0.0, t, 33)[1:]
+        start = sum(abs(a) ** 2 for a in cfg.alpha)
+        expected = max([start] + [reference(cfg, ti) for ti in times])
+        assert peak_total_excitation(cfg, t, samples=32) == pytest.approx(
+            expected, rel=1e-10, abs=0)
 
 
 class TestExcitations:

@@ -1,0 +1,59 @@
+#!/usr/bin/env python3
+"""Compare two output directories file by file:
+
+    python scripts/compare_outputs.py DIR_A DIR_B
+
+Prints, per file, "identical" or the largest relative difference of the
+numeric tokens. Exits 1 if a file is missing on one side or a non-numeric
+token (or the token count) differs.
+"""
+
+import cmath
+import math
+import pathlib
+import re
+import sys
+
+SEPARATORS = re.compile(r'[\s,;=:\[\]{}()"]+')
+
+
+def compare(a, b):
+    """Largest relative difference of the numeric tokens of texts a and b,
+    or None if a non-numeric token differs."""
+    ta, tb = SEPARATORS.split(a), SEPARATORS.split(b)
+    if len(ta) != len(tb):
+        return None
+    worst = 0.0
+    for x, y in ((x, y) for x, y in zip(ta, tb) if x != y):
+        try:
+            u, v = complex(x), complex(y)
+        except ValueError:
+            return None
+        if u != v and not (cmath.isnan(u) and cmath.isnan(v)):
+            finite = cmath.isfinite(u) and cmath.isfinite(v)
+            worst = max(worst, abs(u - v) / max(abs(u), abs(v)) if finite else math.inf)
+    return worst
+
+
+def main(dir_a, dir_b):
+    roots = [pathlib.Path(dir_a), pathlib.Path(dir_b)]
+    names = sorted({str(p.relative_to(r)) for r in roots for p in r.rglob("*") if p.is_file()})
+    bad = False
+    for name in names:
+        a, b = (r / name for r in roots)
+        if not (a.is_file() and b.is_file()):
+            print(f"{name}: missing in {dir_b if a.is_file() else dir_a}")
+            bad = True
+            continue
+        worst = compare(a.read_text(), b.read_text())
+        bad = bad or worst is None
+        print(f"{name}: " + ("non-numeric tokens differ" if worst is None else
+                              "identical" if a.read_bytes() == b.read_bytes() else
+                              f"largest relative difference {worst:.3g}"))
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    if len(sys.argv) != 3:
+        sys.exit(__doc__)
+    sys.exit(main(*sys.argv[1:]))

@@ -14,10 +14,11 @@ from .config import (ConfigurationError, SystemConfig, collective_rate,
                      ep3_sensor, ep4_system)
 from .gaussian import (GaussianState, apply_external_loss, coherent_init,
                        evolve, evolve_lossy, excitation_numbers, propagator,
-                       propagators, readout_swap)
-from .metrology import (db_ratio, feasibility_check, noise_variance,
-                        observable, peak_total_excitation, qfi_chi_scaling,
-                        qfi_parts, scaling_fit, sql, susceptibility)
+                       evolve_lossy_trace, readout_swap)
+from .metrology import (analytic_susceptibility, db_ratio, feasibility_check,
+                        noise_variance, observable, peak_total_excitation,
+                        qfi_chi_scaling, qfi_parts, scaling_fit, sql,
+                        susceptibility)
 from .model import ep4_locus
 from .perturb import (exact_propagator_coefficients, first_order_propagator,
                       susceptibility_derivatives)
@@ -121,8 +122,8 @@ def criterion_4_susceptibility_crosscheck():
         obs = observable("X1-X2", 3)
         for k in range(1, 21):
             t = k * period / 20.0
-            s_an = susceptibility(cfg, obs, t, method="analytic")
-            s_fd = susceptibility(cfg, obs, t, method="fd")
+            s_an = analytic_susceptibility(cfg, obs, t)
+            s_fd = susceptibility(cfg, obs, t)
             worst = max(worst, abs(s_an - s_fd) / abs(s_an))
     res.add("worst relative difference", worst, "<= 1e-4", worst <= 1e-4)
     return res
@@ -139,7 +140,7 @@ def criterion_5_working_point():
     obs = observable("X1-X2", 3)
     nz = noise_variance(cfg, obs, t)
     res.add("noise of X1-X2", nz, "1 +- 1e-8", _within(nz, 1.0, 1e-8))
-    s_fd = susceptibility(cfg, obs, t, method="fd")
+    s_fd = susceptibility(cfg, obs, t)
     s_closed = 3.0 * np.sqrt(2.0) * alpha * (1 + g * g) * (1 + g) ** 2 * np.pi / chi ** 5
     res.add("susceptibility vs closed maximum", s_fd,
             f"{s_closed:.6e} +- 0.01%", abs(s_fd - s_closed) / s_closed <= 1e-4)
@@ -190,7 +191,7 @@ def criterion_7_squeezing_strategy():
     nz = noise_variance(cfg, obs, t)
     closed = (1.0 - g) ** 2 / (1.0 + g) ** 2
     res.add("noise of X1+X2", nz, f"{closed:.8e} +- 1e-8", _within(nz, closed, 1e-8))
-    s = susceptibility(cfg, obs, t, method="fd")
+    s = susceptibility(cfg, obs, t)
     delta = float(np.sqrt(nz) / s)
     value, _, _, _ = qfi_parts(cfg, t)
     product = delta * np.sqrt(value)
@@ -207,11 +208,8 @@ def criterion_8_conservation_suite():
     chi = collective_rate(cfg)
     state0 = coherent_init(cfg)
     times = np.linspace(0.0, 5 * 2.0 * np.pi / chi, 64)[1:]
-    at = propagators(cfg)
-    values = []
-    for t in times:
-        N = excitation_numbers(evolve(state0, at(t)))
-        values.append(N[0] - N[1] - N[2])
+    states = evolve_lossy_trace(state0, cfg, times)
+    values = [N[0] - N[1] - N[2] for N in map(excitation_numbers, states)]
     spread = max(values) - min(values)
     res.add("N1 - N2 - Na drift over 5 periods", spread, "<= 1e-8", spread <= 1e-8)
 
@@ -273,7 +271,7 @@ def criterion_10_losses():
     t = 2.0 * np.pi / collective_rate(base)
 
     def delta_eps(cfg, tv, eta=None):
-        s = susceptibility(cfg, obs, tv, method="fd", eta=eta)
+        s = susceptibility(cfg, obs, tv, eta=eta)
         nz = noise_variance(cfg, obs, tv, eta=eta)
         return float(np.sqrt(nz) / s)
 

@@ -7,6 +7,7 @@ so a vacuum or coherent state has covariance I/2 and var(X1 - X2) = 1.
 State vectors are ordered (X1, P1, ..., Xn, Pn) with the cavity last.
 """
 
+import functools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -155,9 +156,13 @@ def operator_to_quadrature(K, kinds):
 
 
 COND_SWITCH = 1e8
+# a sensitivity row, or one time of a QFI trace, asks for at most 5 distinct
+# configurations (the configured one and its +-h for two steps): keep 5
+MEMO_SIZE = 5
 
 
-def propagators(config):
+@functools.lru_cache(maxsize=MEMO_SIZE)
+def _decompose(config):
     """Exact affine Gaussian maps of one configuration: returns at(t), the
     Propagator over time t, with the quadrature map S(t) = exp(A t) of the
     drift A and the diffusion covariance Q(t) = int_0^t S(s) D S(s)^T ds of a
@@ -172,11 +177,15 @@ def propagators(config):
 
     Everything that depends on the configuration alone (the spectrum, V^-1
     and the diffusion in the drift eigenbasis, or the Van Loan block) is
-    computed once, here; at(t) does only the work that depends on t.
+    computed once per configuration and memoized on the frozen config; at(t)
+    does only the work that depends on t, and shares what it closes over.
+    at(t) raises NumericalError when S or Q is not finite, as when
+    e^{-i lambda t} overflows on an unstable configuration.
     """
     spec = eigensolve(config)
     V = spec.right_vectors
     cond = float(np.linalg.cond(V))
+    rates = (-1j * spec.eigenvalues).real
     if cond >= COND_SWITCH:
         # imported here: scipy.linalg costs more to import than numpy, and
         # only nearly defective spectra need it
@@ -184,32 +193,44 @@ def propagators(config):
         A, D = drift_and_diffusion(config)
         m = len(A)
         block = np.block([[-A, D], [np.zeros_like(A), A.T]])
+        # the block holds exp(-A t) too, which grows where the drift decays
+        growth = f"max |Re(-i lambda)| = {np.abs(rates).max():.6g}"
 
         def at(t):
             F = expm(block * t)
             S = F[m:, m:].T
-            return Propagator(S_quad=S, Q=S @ F[:m, m:], t=float(t), method="expm",
-                              condition_number=cond)
+            return _finite(Propagator(S_quad=S, Q=S @ F[:m, m:], t=float(t),
+                                      method="expm", condition_number=cond), growth)
         return at
 
     kinds = reduced_mode_kinds(config)
     Vinv = np.linalg.inv(V)
     lam = spec.eigenvalues
     diffusion = None if config.lossless else _eigen_diffusion(config, kinds, V, Vinv, lam)
+    growth = f"max Re(-i lambda) = {rates.max():.6g}"
 
     def at(t):
         K = V @ np.diag(np.exp(-1j * lam * t)) @ Vinv
         S = operator_to_quadrature(K, kinds)
         Q = np.zeros_like(S) if diffusion is None else diffusion(t)
-        return Propagator(S_quad=S, Q=Q, t=float(t), method="eigen",
-                          condition_number=cond)
+        return _finite(Propagator(S_quad=S, Q=Q, t=float(t), method="eigen",
+                                  condition_number=cond), growth)
     return at
 
 
+def _finite(prop, growth):
+    """prop, or NumericalError naming the largest growth rate if its S or Q
+    is not finite (the realness check of operator_to_quadrature lets NaN
+    through)."""
+    if not (np.isfinite(prop.S_quad).all() and np.isfinite(prop.Q).all()):
+        raise NumericalError(f"{prop.method} propagator not finite at t = {prop.t:.6g}: "
+                             f"largest growth rate {growth}")
+    return prop
+
+
 def propagator(config, t):
-    """The Propagator of config over time t; see `propagators`, which callers
-    that ask for many times of one configuration use instead."""
-    return propagators(config)(t)
+    """The Propagator of config over time t; see `_decompose` (memoized)."""
+    return _decompose(config)(t)
 
 
 def _eigen_diffusion(config, kinds, V, Vinv, eigenvalues):
@@ -270,8 +291,7 @@ def evolve_lossy(state, config, t):
 
 def evolve_lossy_trace(state, config, times):
     """States at each of `times`, each propagated from `state`."""
-    at = propagators(config)
-    return [evolve(state, at(t)) for t in times]
+    return [evolve(state, propagator(config, t)) for t in times]
 
 
 # ---------------------------------------------------------------------------

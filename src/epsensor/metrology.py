@@ -20,10 +20,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .config import (ConfigurationError, RegimeError, collective_rate,
-                     ep3_sensor, ep4_system)
+from .config import (ConfigurationError, NumericalError, RegimeError,
+                     collective_rate, ep3_sensor, ep4_system)
 from .gaussian import (apply_external_loss, coherent_init, evolve, propagator,
-                       propagators, total_excitation,
+                       evolve_lossy_trace, total_excitation,
                        two_mode_squeezer_coefficients)
 from .model import ep4_locus
 from .perturb import regime_ok
@@ -148,21 +148,12 @@ def _state_derivative(config, t, h, mode="same", eta=None):
     return (plus.mu - minus.mu) / (2.0 * h), (plus.cov - minus.cov) / (2.0 * h)
 
 
-def susceptibility(config, obs, t, method="fd", mode="same", eta=None):
-    """|d<O>/d(eps)| at the configured perturbation offset.
-
-    method "fd": central finite difference with step FD_STEP on the exact
-    Gaussian evolution (with decay and diffusion when decay rates are
-    nonzero). method "analytic": closed first-order forms for the lossless
-    three-mode sensor at delta = 0 with amplitudes (i alpha, -i alpha), valid
-    for the X1-X2 and X1+X2 observables in mode "same".
-    """
-    if method == "fd":
-        dmu, _ = _state_derivative(config, t, FD_STEP, mode, eta)
-        return abs(float(obs.coefficients @ dmu))
-    if method == "analytic":
-        return _analytic_susceptibility(config, obs, t, mode, eta)
-    raise ConfigurationError(f"unknown susceptibility method {method!r}")
+def susceptibility(config, obs, t, mode="same", eta=None):
+    """|d<O>/d(eps)| at the configured perturbation offset: a central finite
+    difference with step FD_STEP on the exact Gaussian evolution (with decay
+    and diffusion when decay rates are nonzero)."""
+    dmu, _ = _state_derivative(config, t, FD_STEP, mode, eta)
+    return abs(float(obs.coefficients @ dmu))
 
 
 def _sensor_shape(config):
@@ -180,9 +171,10 @@ def _sensor_shape(config):
     return config.g[0], config.kappa[0], a1.imag
 
 
-def _analytic_susceptibility(config, obs, t, mode, eta):
-    if mode != "same":
-        raise ConfigurationError("analytic susceptibility covers the 'same' mode")
+def analytic_susceptibility(config, obs, t):
+    """Closed first-order |d<O>/d(eps)| ("same" mode) for the lossless
+    three-mode sensor at delta = 0 with amplitudes (i alpha, -i alpha), for
+    the X1-X2 and X1+X2 observables."""
     g, k, alpha = _sensor_shape(config)
     gt, tt = g / k, t * k
     chi = np.sqrt(1.0 - gt * gt)
@@ -198,10 +190,7 @@ def _analytic_susceptibility(config, obs, t, mode, eta):
     else:
         raise ConfigurationError(
             f"no analytic susceptibility for observable {obs.name!r}")
-    s = s / k
-    if eta is not None:
-        s *= np.sqrt(eta)
-    return float(abs(s))
+    return float(abs(s / k))
 
 
 def noise_variance(config, obs, t, eta=None):
@@ -286,8 +275,7 @@ def peak_total_excitation(config, t, samples=256):
     (the documented N convention for SQL comparisons)."""
     times = np.linspace(0.0, t, samples + 1)[1:]
     state0 = coherent_init(config)
-    at = propagators(config)
-    states = [state0] + [evolve(state0, at(ti)) for ti in times]
+    states = [state0] + evolve_lossy_trace(state0, config, times)
     return max(total_excitation(s) for s in states)
 
 
@@ -306,7 +294,7 @@ def sensitivity(config, obs, t, mode="same", eta=None):
     first-order regime eps < 0.1 chi^3, with chi taken at eps = 0; it is
     false where chi is undefined (at or beyond the exceptional point, or
     not the three-mode sensor)."""
-    s = susceptibility(config, obs, t, method="fd", mode=mode, eta=eta)
+    s = susceptibility(config, obs, t, mode=mode, eta=eta)
     nz = noise_variance(config, obs, t, eta=eta)
     delta = float(np.sqrt(nz) / s) if s > 0 else np.inf
     value, _, _, _ = qfi_parts(config, t, mode=mode, eta=eta)
@@ -360,8 +348,8 @@ def scaling_fit(family, chi_grid):
     (vacuum-level-noise convention of the general 2n-1 scaling law; the
     approach path is weakly non-oscillatory, so exp growth enters only as a
     constant factor). family "ep3-qfi": the Fisher information of the "ep3"
-    states. Dynamically unusable grid points (overflow, vanishing response)
-    are excluded and reported.
+    states. Dynamically unusable grid points (overflow, a non-finite map,
+    vanishing response) are excluded and reported.
     """
     point = _SCALING_POINTS.get(family)
     if point is None:
@@ -371,7 +359,8 @@ def scaling_fit(family, chi_grid):
     for chi in chi_grid:
         try:
             points.append(point(chi))
-        except (FloatingPointError, OverflowError, np.linalg.LinAlgError) as exc:
+        except (FloatingPointError, OverflowError, np.linalg.LinAlgError,
+                NumericalError) as exc:
             warnings.warn(f"excluding chi={chi:g}: {exc}")
             excluded.append(float(chi))
     chis = np.array([p[0] for p in points])
@@ -394,7 +383,7 @@ def _ep3_working_point(chi):
 def _ep3_point(chi):
     config, t = _ep3_working_point(chi)
     obs = x_minus()
-    s = susceptibility(config, obs, t, method="fd")
+    s = susceptibility(config, obs, t)
     nz = noise_variance(config, obs, t)
     return chi, float(np.sqrt(nz) / s)
 
@@ -456,7 +445,7 @@ def feasibility_check():
     chi = collective_rate(config)
     t = 2.0 * np.pi / chi
     obs = x_minus()
-    s = susceptibility(config, obs, t, method="fd")
+    s = susceptibility(config, obs, t)
     nz = noise_variance(config, obs, t)
     delta = float(np.sqrt(nz) / s)
     kappa_rad = 2.0 * np.pi * kappa_hz

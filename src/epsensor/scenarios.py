@@ -23,7 +23,7 @@ import numpy as np
 
 from . import metrology
 from .config import ConfigurationError, SystemConfig
-from .gaussian import coherent_init, evolve, excitation_numbers, propagator
+from .gaussian import coherent_init, evolve_lossy_trace, excitation_numbers
 from .metrology import (SensitivityReport, observable, sensitivity,
                         working_point_time)
 from .spectral import (coupling_shift, cubic_discriminant, eigensolve,
@@ -163,6 +163,16 @@ def parse_scenario(text, name_hint="scenario"):
     times = scenario.sweep_param == "t" or experiment in ("evolve_trace", "qfi_trace")
     if times and min(scenario.sweep_grid) < 0:
         raise ConfigurationError("field 'sweep_grid': a grid of times must not be negative")
+    setter = _sweep_setters(system).get(scenario.sweep_param)
+    for value in scenario.sweep_grid:
+        try:
+            if setter is not None:
+                setter(system, value)      # SystemConfig validates the swept value
+            elif scenario.sweep_param == "eta" and not 0.0 <= value <= 1.0:
+                raise ConfigurationError("a transmissivity must lie in [0, 1]")
+        except ConfigurationError as exc:
+            raise ConfigurationError(
+                f"field 'sweep_grid': {scenario.sweep_param} = {value!r}: {exc}") from None
     return scenario
 
 
@@ -296,9 +306,8 @@ def _run_evolve_trace(scn):
     n = cfg.n
     cols = ["t", "mean_obs", "var_obs"] + [f"n{i + 1}" for i in range(n)] + ["n_total"]
     rows = []
-    state0 = coherent_init(cfg)
-    for t in scn.sweep_grid:
-        st = evolve(state0, propagator(cfg, t))
+    states = evolve_lossy_trace(coherent_init(cfg), cfg, scn.sweep_grid)
+    for t, st in zip(scn.sweep_grid, states):
         N = excitation_numbers(st)
         rows.append([t, obs.mean(st), obs.variance(st)] + list(N) + [float(N.sum())])
     return cols, rows, {"points": len(rows)}

@@ -8,16 +8,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import epsensor
-from epsensor import (ConfigurationError, GaussianState, SystemConfig,
-                      apply_external_loss, bloch_messiah_2mode, build_system,
-                      coherent_init, collective_rate, ep3_sensor, evolve,
-                      evolve_lossy, excitation_numbers, propagator,
+from epsensor import (ConfigurationError, GaussianState, NumericalError,
+                      SystemConfig, apply_external_loss, bloch_messiah_2mode,
+                      build_system, coherent_init, collective_rate, ep3_sensor,
+                      evolve, evolve_lossy, excitation_numbers, propagator,
                       readout_swap, symplectic_form, total_excitation,
                       two_mode_squeezer_coefficients, vacuum_state)
 from epsensor import gaussian
 from epsensor.gaussian import (drift_and_diffusion, evolve_lossy_trace,
                                two_mode_quadrature_map)
-from epsensor.metrology import peak_total_excitation
+from epsensor.metrology import (noise_variance, peak_total_excitation, qfi,
+                                sensitivity, susceptibility, x_minus)
 from epsensor.perturb import exact_propagator_coefficients
 
 settings.register_profile("suite", deadline=None, derandomize=True)
@@ -90,6 +91,17 @@ class TestPropagator:
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                              text=True, check=True, timeout=120).stdout
         assert out.strip() == "False"
+
+    @pytest.mark.parametrize("cfg, t, rate", [
+        (ep3_sensor(1 - 1e-6, eps1=1e-3, eps2=1e-3), 1e4, "max Re(-i lambda) = 0.109"),
+        (ep3_sensor(1 - 1e-9, gamma=0.1), 1e5, "max |Re(-i lambda)| = 0.1"),
+    ], ids=["eigen-unstable", "expm-long-time"])
+    def test_non_finite_map_raises(self, cfg, t, rate):
+        # exp(-i lambda t) overflows on the unstable side; the Van Loan block
+        # of the fallback holds exp(-A t), which overflows for decaying modes
+        with np.errstate(all="ignore"), pytest.raises(NumericalError) as err:
+            propagator(cfg, t)
+        assert f"t = {t:g}" in str(err.value) and rate in str(err.value)
 
     @given(g=st.floats(0.3, 0.99), t=st.floats(0.0, 50.0))
     @settings(max_examples=40)
@@ -233,12 +245,9 @@ class TestLossyEvolution:
 
 
 class TestDecomposeOnce:
-    @pytest.mark.parametrize("cfg", [
-        ep3_sensor(0.95, alpha=2.0),
-        ep3_sensor(0.95, alpha=2.0, gamma=0.1, Gamma=0.01),
-        ep3_sensor(1 - 1e-9, alpha=2.0),                  # expm fallback
-    ], ids=["lossless", "lossy", "nearly-defective"])
-    def test_one_eigensolve_per_configuration(self, monkeypatch, cfg):
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """The configurations gaussian decomposes, counted from a cold memo."""
         calls = []
         solve = gaussian.eigensolve
 
@@ -247,11 +256,39 @@ class TestDecomposeOnce:
             return solve(config, *args, **kwargs)
 
         monkeypatch.setattr(gaussian, "eigensolve", counted)
+        gaussian._decompose.cache_clear()
+        yield calls
+        gaussian._decompose.cache_clear()
+
+    @pytest.mark.parametrize("cfg", [
+        ep3_sensor(0.95, alpha=2.0),
+        ep3_sensor(0.95, alpha=2.0, gamma=0.1, Gamma=0.01),
+        ep3_sensor(1 - 1e-9, alpha=2.0),                  # expm fallback
+    ], ids=["lossless", "lossy", "nearly-defective"])
+    def test_one_eigensolve_per_configuration(self, calls, cfg):
         peak_total_excitation(cfg, 5.0)
         assert len(calls) == 1
         calls.clear()
+        gaussian._decompose.cache_clear()
         states = evolve_lossy_trace(coherent_init(cfg), cfg, np.linspace(0.5, 5.0, 10))
         assert len(calls) == 1 and len(states) == 10
+
+    @pytest.mark.parametrize("cfg", [
+        ep3_sensor(0.95, alpha=2.0),
+        ep3_sensor(0.95, alpha=2.0, gamma=0.1, Gamma=0.01),
+    ], ids=["lossless", "lossy"])
+    def test_a_sensitivity_row_decomposes_each_configuration_once(self, calls, cfg):
+        # the configured state, +-FD_STEP and +-_qfi_step
+        sensitivity(cfg, x_minus(), 2 * np.pi / collective_rate(cfg))
+        assert len(calls) == len(set(calls)) == 5
+
+    def test_a_qfi_trace_decomposes_each_configuration_once(self, calls):
+        cfg, obs = ep3_sensor(0.95, alpha=2.0), x_minus()
+        for t in np.linspace(1.0, 20.0, 10):
+            qfi(cfg, t)
+            susceptibility(cfg, obs, t)
+            noise_variance(cfg, obs, t)
+        assert len(calls) == len(set(calls)) == 5
 
 
 def _residue_total_excitation(cfg, t):

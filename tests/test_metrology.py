@@ -8,7 +8,8 @@ from epsensor import (ConfigurationError, Observable, collective_rate,
                       observable, peak_total_excitation, qfi, qfi_chi_scaling,
                       qfi_parts, scaling_fit, sensitivity, sql,
                       susceptibility, working_point_time)
-from epsensor.metrology import analytic_noise, db_ratio
+from epsensor import metrology, propagator
+from epsensor.metrology import analytic_noise, analytic_susceptibility, db_ratio
 
 
 @pytest.fixture(scope="module")
@@ -54,8 +55,8 @@ class TestSusceptibility:
         obs = observable("X1-X2", 3)
         for k in range(1, 13):
             t = k * 4 * np.pi / (12 * chi)
-            a = susceptibility(sensor, obs, t, method="analytic")
-            f = susceptibility(sensor, obs, t, method="fd")
+            a = analytic_susceptibility(sensor, obs, t)
+            f = susceptibility(sensor, obs, t)
             assert abs(a - f) / a < 1e-4
 
     def test_working_point_closed_maximum(self, sensor, chi):
@@ -63,7 +64,7 @@ class TestSusceptibility:
         obs = observable("X1-X2", 3)
         t = 2 * np.pi / chi
         expected = 3 * np.sqrt(2) * alpha * (1 + g * g) * (1 + g) ** 2 * np.pi / chi ** 5
-        assert susceptibility(sensor, obs, t, method="analytic") == \
+        assert analytic_susceptibility(sensor, obs, t) == \
             pytest.approx(expected, rel=1e-12)
         assert expected == pytest.approx(6.50e4, rel=1e-3)
 
@@ -74,16 +75,16 @@ class TestSusceptibility:
         ct = chi * t
         expected = np.sqrt(2) * alpha * (1 + g * g) * (
             ct * (1 - np.cos(ct) / 2) + np.sin(ct) / 2) / chi ** 3
-        a = susceptibility(sensor, obs, t, method="analytic")
+        a = analytic_susceptibility(sensor, obs, t)
         assert a == pytest.approx(expected, rel=1e-12)
-        assert abs(a - susceptibility(sensor, obs, t, method="fd")) / a < 1e-4
+        assert abs(a - susceptibility(sensor, obs, t)) / a < 1e-4
 
     def test_analytic_unsupported_cases(self, sensor):
         with pytest.raises(ConfigurationError):
-            susceptibility(sensor, observable("P1-P2", 3), 1.0, method="analytic")
+            analytic_susceptibility(sensor, observable("P1-P2", 3), 1.0)
         lossy = ep3_sensor(0.95, alpha=2.0, gamma=0.1)
         with pytest.raises(ConfigurationError):
-            susceptibility(lossy, observable("X1-X2", 3), 1.0, method="analytic")
+            analytic_susceptibility(lossy, observable("X1-X2", 3), 1.0)
 
     def test_different_mode_is_weaker(self, sensor, chi):
         obs = observable("X1-X2", 3)
@@ -99,10 +100,10 @@ class TestSusceptibility:
         scaled = ep3_sensor(1.8, kappa=2.0, alpha=2.0)
         obs = observable("X1-X2", 3)
         t = working_point_time(base)
-        s1 = susceptibility(base, obs, t, method="analytic")
-        s2 = susceptibility(scaled, obs, t / 2.0, method="analytic")
+        s1 = analytic_susceptibility(base, obs, t)
+        s2 = analytic_susceptibility(scaled, obs, t / 2.0)
         assert s2 == pytest.approx(s1 / 2.0, rel=1e-12)
-        f2 = susceptibility(scaled, obs, t / 2.0, method="fd")
+        f2 = susceptibility(scaled, obs, t / 2.0)
         assert f2 == pytest.approx(s2, rel=1e-6)
 
 
@@ -288,6 +289,21 @@ class TestScaling:
         assert np.array_equal(fit.chis, grid)
         assert np.allclose(fit.values, direct, rtol=1e-12, atol=0)
         assert np.array_equal(qfi_chi_scaling(grid).values, fit.values)
+
+    def test_a_non_finite_map_is_an_excluded_point(self, monkeypatch):
+        ep3_point = metrology._SCALING_POINTS["ep3"]
+        bad = self.GRID[3]
+
+        def point(chi):
+            if chi == bad:     # an unstable configuration whose map overflows
+                propagator(ep3_sensor(1 - 1e-6, eps1=1e-3, eps2=1e-3), 1e4)
+            return ep3_point(chi)
+
+        monkeypatch.setitem(metrology._SCALING_POINTS, "ep3", point)
+        with np.errstate(all="ignore"), pytest.warns(UserWarning, match="propagator"):
+            fit = scaling_fit("ep3", self.GRID)
+        assert fit.excluded == (bad,)
+        assert np.array_equal(fit.chis, np.delete(self.GRID, 3))
 
     def test_unknown_family(self):
         with pytest.raises(ConfigurationError):

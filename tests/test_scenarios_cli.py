@@ -6,6 +6,7 @@ import pytest
 
 from epsensor import (ConfigurationError, ep3_sensor, noise_variance,
                       observable, qfi, susceptibility)
+from epsensor import gaussian
 from epsensor.cli import main
 from epsensor.scenarios import (apply_sweep_value, fmt, load_scenario,
                                 parse_grid, parse_scenario, run_scenario)
@@ -87,6 +88,11 @@ def _scenario(experiment, *lines):
     return f"experiment = {experiment}\n" + SENSOR + "".join(f"{ln}\n" for ln in lines)
 
 
+# sweep values the system or the readout cannot take: (experiment, param, grid)
+BAD_SWEEPS = [("loss_sweep", "eta", "0.5, 1.5"), ("loss_sweep", "gamma", "0.1, -0.2"),
+              ("sensitivity_sweep", "g1", "0.5, -0.5")]
+
+
 @pytest.mark.parametrize("text,fragment", [
     pytest.param(_scenario("evolve_trace", "observable = Xa", "sweep_grid = 1, 2"),
                  "observable", id="observable"),
@@ -107,6 +113,9 @@ def _scenario(experiment, *lines):
       for time in ("working:0", "working:-1", "-5", "0")),
     pytest.param(_scenario("evolve_trace", "sweep_grid = -5, 1"), "sweep_grid",
                  id="negative-time-grid"),
+    *(pytest.param(_scenario(experiment, f"sweep_param = {param}", f"sweep_grid = {grid}"),
+                   "sweep_grid", id=f"{param}-out-of-range")
+      for experiment, param, grid in BAD_SWEEPS),
 ])
 def test_field_values_are_checked_at_parse_time(text, fragment):
     with pytest.raises(ConfigurationError, match=fragment):
@@ -250,10 +259,14 @@ def test_cli_reports_config_error(tmp_path, capsys):
 def test_cli_writes_nothing_when_a_later_scenario_is_malformed(tmp_path, capsys):
     good, bad = tmp_path / "a.scn", tmp_path / "b.scn"
     good.write_text(MINIMAL)
-    bad.write_text(_scenario("evolve_trace", "observable = Xa", "sweep_grid = 1, 2"))
-    assert main(["run", str(good), str(bad), "--out", str(tmp_path / "out")]) == 2
-    assert "observable" in capsys.readouterr().err
-    assert not (tmp_path / "out").exists()
+    cases = [(_scenario("evolve_trace", "observable = Xa", "sweep_grid = 1, 2"), "observable")]
+    cases += [(_scenario(experiment, f"sweep_param = {param}", f"sweep_grid = {grid}"),
+               "sweep_grid") for experiment, param, grid in BAD_SWEEPS]
+    for text, field in cases:
+        bad.write_text(text)
+        assert main(["run", str(good), str(bad), "--out", str(tmp_path / "out")]) == 2
+        assert field in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 def test_cli_runs_several_scenarios_in_one_call(tmp_path):
@@ -270,6 +283,16 @@ def test_cli_runs_several_scenarios_in_one_call(tmp_path):
         assert main(["run", path, "--out", str(tmp_path / f"one{i}")]) == 0
         assert (tmp_path / "both" / f"demo{i}.csv").read_bytes() == \
             (tmp_path / f"one{i}" / f"demo{i}.csv").read_bytes()
+
+
+def test_examples_give_the_same_bytes_from_a_cold_and_a_warm_memo(tmp_path):
+    here = os.path.join(os.path.dirname(__file__), "..", "scenarios")
+    for name in sorted(f for f in os.listdir(here) if f.endswith(".scn")):
+        scn = load_scenario(os.path.join(here, name))
+        gaussian._decompose.cache_clear()
+        cold = run_scenario(scn, out_dir=str(tmp_path / "cold"))["output"]
+        warm = run_scenario(scn, out_dir=str(tmp_path / "warm"))["output"]
+        assert open(cold, "rb").read() == open(warm, "rb").read(), name
 
 
 def test_all_example_scenarios_parse():

@@ -1,6 +1,8 @@
 import os
 import re
 import runpy
+import subprocess
+import sys
 
 import pytest
 
@@ -15,3 +17,28 @@ def test_sensor_summary_runs_and_prints_the_scaling_exponents(capsys):
     assert ep3 == pytest.approx(5.0, abs=0.1)
     assert ep2 == pytest.approx(3.0, abs=0.1)
     assert qfi == pytest.approx(-10.0, abs=0.2)
+
+
+def test_compare_outputs_reports_each_file(tmp_path):
+    a, b = tmp_path / "a", tmp_path / "b"
+    for d, value in ((a, "1.0000000001e-3"), (b, "1.0e-3")):
+        d.mkdir()
+        (d / "same.csv").write_text("# name = x\nt,v\n1,2.5\n")
+        (d / "close.csv").write_text(f"t,v\n1,{value}\n")
+    script = os.path.join(SCRIPTS, "compare_outputs.py")
+
+    def run():
+        return subprocess.run([sys.executable, script, str(a), str(b)],
+                              capture_output=True, text=True, timeout=60)
+
+    out = run()
+    assert out.returncode == 0
+    assert "same.csv: identical" in out.stdout
+    close = re.search(r"close\.csv: largest relative difference (\S+)", out.stdout)
+    assert float(close.group(1)) == pytest.approx(1e-10, rel=1e-2)
+    (b / "same.csv").write_text("# name = y\nt,v\n1,2.5\n")
+    (a / "only_a.csv").write_text("t\n")
+    out = run()
+    assert out.returncode == 1
+    assert "same.csv: non-numeric tokens differ" in out.stdout
+    assert f"only_a.csv: missing in {b}" in out.stdout

@@ -7,8 +7,9 @@ resulting metrological performance (susceptibility, noise, sensitivity,
 quantum Fisher information, scaling laws).
 """
 
-from .config import (ConfigurationError, NumericalError, RegimeError,
-                     SystemConfig, collective_rate, ep3_sensor, ep4_system)
+from .config import (PERTURBATIONS, ConfigurationError, NumericalError,
+                     RegimeError, SystemConfig, collective_rate, ep3_sensor,
+                     ep4_system)
 from .gaussian import (BlochMessiahDecomposition, GaussianState, Propagator,
                        apply_external_loss, bloch_messiah_2mode, coherent_init,
                        evolve, evolve_lossy, excitation_numbers, propagator,

@@ -22,8 +22,7 @@ from .metrology import (analytic_susceptibility, db_ratio, feasibility_check,
 from .model import ep4_locus
 from .perturb import (exact_propagator_coefficients, first_order_propagator,
                       susceptibility_derivatives)
-from .spectral import (eigensolve, puiseux_fit, same_detuning_shift,
-                       single_detuning_shift)
+from .spectral import eigensolve, puiseux_fit
 
 PUISEUX_GRID = np.logspace(-9.0, -5.0, 17)
 EP4_COALESCENCE = 0.442272        # expected common eigenvalue at the f=0.2 locus
@@ -64,8 +63,8 @@ def criterion_1_ep3_puiseux():
     shift carrying a 2^(1/3) larger prefactor than the single-mode shift."""
     res = CriterionResult(1, "EP3 Puiseux exponent and prefactor ratio")
     cfg = ep3_sensor(1.0)
-    fit_same = puiseux_fit(cfg, PUISEUX_GRID, same_detuning_shift)
-    fit_single = puiseux_fit(cfg, PUISEUX_GRID, single_detuning_shift)
+    fit_same = puiseux_fit(cfg, PUISEUX_GRID, "same")
+    fit_single = puiseux_fit(cfg, PUISEUX_GRID, "single")
     res.add("slope (both modes shifted)", fit_same.slope, "1/3 +- 0.02",
             _within(fit_same.slope, 1.0 / 3.0, 0.02))
     res.add("slope (single mode shifted)", fit_single.slope, "1/3 +- 0.02",
@@ -80,7 +79,7 @@ def criterion_2_ep4_puiseux():
     """Quartic-root response at the four-fold locus and the coalescence value."""
     res = CriterionResult(2, "EP4 Puiseux exponent and coalescence")
     cfg = ep4_system(0.2)
-    fit = puiseux_fit(cfg, PUISEUX_GRID, same_detuning_shift)
+    fit = puiseux_fit(cfg, PUISEUX_GRID, "same")
     res.add("slope", fit.slope, "1/4 +- 0.02", _within(fit.slope, 0.25, 0.02))
     spec = eigensolve(cfg, cluster_radius=EP4_CLUSTER_RADIUS)
     res.add("detected coalescence order", spec.ep_order,
@@ -353,7 +352,7 @@ def criterion_11_first_order_fidelity():
     for g in (0.8, 0.9, 0.95):
         chi = np.sqrt(1.0 - g * g)
         for t in (2.0 * np.pi / chi, 5.0, 13.7):
-            for case in ("same", "different"):
+            for case in ("same", "single"):
                 d = susceptibility_derivatives(g, t, case)
                 pair = (h, h) if case == "same" else (h, 0.0)
                 up = exact_propagator_coefficients(g, pair[0], pair[1], t)

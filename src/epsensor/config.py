@@ -24,6 +24,20 @@ class NumericalError(RuntimeError):
     """A numerical routine failed to converge; message carries diagnostics."""
 
 
+# The sensed perturbation: each direction maps to the entries of `epsilon`
+# that the sensed shift eps moves, every magnon's for "same" and magnon 1's
+# for "single".
+PERTURBATIONS = {"same": slice(None), "single": slice(0, 1)}
+
+
+def sensed_magnons(direction):
+    """The slice of `epsilon` that the sensed direction moves."""
+    if direction not in PERTURBATIONS:
+        raise ConfigurationError(f"unknown perturbation direction {direction!r}, "
+                                 f"expected one of {tuple(PERTURBATIONS)}")
+    return PERTURBATIONS[direction]
+
+
 @dataclass(frozen=True)
 class SystemConfig:
     """Physical parameters of the n-mode magnon-cavity system.
@@ -93,19 +107,13 @@ class SystemConfig:
     def lossless(self):
         return self.gamma == 0.0 and self.Gamma == 0.0
 
-    def with_perturbation(self, eps, mode="same"):
-        """Return a copy with the perturbation set on the magnon detunings.
-
-        mode "same" applies eps to every magnon mode; "single" (alias
-        "different") applies it to mode 1 only and zeroes the rest.
-        """
-        if mode == "same":
-            new = (float(eps),) * (self.n - 1)
-        elif mode in ("single", "different"):
-            new = (float(eps),) + (0.0,) * (self.n - 2)
-        else:
-            raise ConfigurationError(f"unknown perturbation mode {mode!r}")
-        return replace(self, epsilon=new)
+    def shifted(self, eps, direction):
+        """Copy with eps added to the perturbations that `direction` moves
+        (see PERTURBATIONS)."""
+        moved = sensed_magnons(direction)
+        epsilon = list(self.epsilon)
+        epsilon[moved] = [e + eps for e in epsilon[moved]]
+        return replace(self, epsilon=tuple(epsilon))
 
     def with_losses(self, gamma, Gamma):
         return replace(self, gamma=float(gamma), Gamma=float(Gamma))
@@ -116,6 +124,7 @@ def collective_rate(config):
 
     Defined for the three-mode sensor (n=3, m=1). Vanishes at the
     third-order exceptional point; sets the working-point period 2*pi/chi.
+    It reads no detuning, so chi does not depend on the perturbation eps.
     """
     if (config.n, config.m) != (3, 1):
         raise ConfigurationError("collective rate is defined for the n=3, m=1 sensor")

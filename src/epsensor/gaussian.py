@@ -31,7 +31,6 @@ class GaussianState:
     mu: np.ndarray
     cov: np.ndarray
     modes: tuple
-    time: float = 0.0
 
     def __post_init__(self):
         mu = np.asarray(self.mu, dtype=float)
@@ -49,8 +48,7 @@ class GaussianState:
         """Reduced state of the selected modes (order preserved)."""
         sel = np.concatenate([[2 * i, 2 * i + 1] for i in indices]).astype(int)
         return GaussianState(mu=self.mu[sel], cov=self.cov[np.ix_(sel, sel)],
-                             modes=tuple(self.modes[i] for i in indices),
-                             time=self.time)
+                             modes=tuple(self.modes[i] for i in indices))
 
     def purity_det(self):
         """det(2 cov); equals 1 for pure states."""
@@ -61,22 +59,6 @@ class GaussianState:
         om = symplectic_form(self.n_modes)
         M = self.cov + 0.5j * om
         return float(np.linalg.eigvalsh((M + M.conj().T) / 2.0).min())
-
-    def to_json_dict(self):
-        return {
-            "n_modes": self.n_modes,
-            "modes": list(self.modes),
-            "time": self.time,
-            "mu": self.mu.tolist(),
-            "cov": self.cov.flatten().tolist(),   # row-major
-        }
-
-    @classmethod
-    def from_json_dict(cls, d):
-        n = int(d["n_modes"])
-        return cls(mu=np.array(d["mu"], dtype=float),
-                   cov=np.array(d["cov"], dtype=float).reshape(2 * n, 2 * n),
-                   modes=tuple(d["modes"]), time=float(d["time"]))
 
 
 @dataclass(frozen=True)
@@ -116,10 +98,9 @@ class BlochMessiahDecomposition:
         return self.K_passive @ self.squeeze_stage() @ self.L_passive
 
 
-def vacuum_state(n_modes, modes=None, time=0.0):
-    modes = tuple(modes) if modes else tuple(f"m{i + 1}" for i in range(n_modes))
+def vacuum_state(n_modes):
     return GaussianState(mu=np.zeros(2 * n_modes), cov=np.eye(2 * n_modes) / 2.0,
-                         modes=modes, time=time)
+                         modes=tuple(f"m{i + 1}" for i in range(n_modes)))
 
 
 def coherent_init(config):
@@ -263,8 +244,7 @@ def evolve(state, prop):
     if S.shape != (len(state.mu), len(state.mu)):
         raise ConfigurationError(
             f"propagator dimension {S.shape} does not match state ({len(state.mu)})")
-    return replace(state, mu=S @ state.mu, cov=S @ state.cov @ S.T + prop.Q,
-                   time=state.time + prop.t)
+    return replace(state, mu=S @ state.mu, cov=S @ state.cov @ S.T + prop.Q)
 
 
 def drift_and_diffusion(config):
@@ -315,34 +295,30 @@ def total_excitation(state):
 # ---------------------------------------------------------------------------
 # channels
 
-def readout_swap(state, theta_t, modes=None):
-    """Append vacuum read-out modes and rotate each selected mode into its
-    read-out partner by the angle theta_t (beam-splitter map
+def readout_swap(state, theta_t):
+    """Append vacuum read-out modes and rotate each magnon mode (every mode
+    but the last, the cavity) into its read-out partner by the angle theta_t
+    (beam-splitter map
     b -> cos(theta_t) b - sin(theta_t) d, d -> sin(theta_t) b + cos(theta_t) d).
-    At theta_t = pi/2 the selected-mode and read-out marginals swap exactly.
-
-    By default all modes except the last (the cavity) are read out.
+    At theta_t = pi/2 the magnon and read-out marginals swap exactly.
     """
     n = state.n_modes
-    if modes is None:
-        modes = tuple(range(n - 1))
-    k = len(modes)
+    k = n - 1
     big_mu = np.concatenate([state.mu, np.zeros(2 * k)])
     big_cov = np.block([
         [state.cov, np.zeros((2 * n, 2 * k))],
         [np.zeros((2 * k, 2 * n)), np.eye(2 * k) / 2.0]])
     S = np.eye(2 * (n + k))
     c, s = np.cos(theta_t), np.sin(theta_t)
-    for j, mode in enumerate(modes):
-        b, d = 2 * mode, 2 * (n + j)
+    for j in range(k):
+        b, d = 2 * j, 2 * (n + j)
         for off in (0, 1):
             S[b + off, b + off] = c
             S[b + off, d + off] = -s
             S[d + off, b + off] = s
             S[d + off, d + off] = c
-    labels = state.modes + tuple(f"d{state.modes[m]}" for m in modes)
-    return GaussianState(mu=S @ big_mu, cov=S @ big_cov @ S.T, modes=labels,
-                         time=state.time)
+    labels = state.modes + tuple(f"d{label}" for label in state.modes[:k])
+    return GaussianState(mu=S @ big_mu, cov=S @ big_cov @ S.T, modes=labels)
 
 
 def apply_external_loss(state, eta):

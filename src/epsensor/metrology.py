@@ -3,11 +3,12 @@ Fisher information, standard-quantum-limit comparison, and scaling fits.
 
 Conventions (also echoed in report metadata):
 - the sensed parameter is a common shift eps of the magnon detunings
-  ("same" mode); shifting only mode 1 is the "different" mode;
+  ("same" mode); shifting only mode 1 is the "single" mode (see
+  config.PERTURBATIONS);
 - susceptibility, noise and QFI are all taken about the configured state
   (epsilon is shifted along the sensed direction), so an offset configured
   in `epsilon` or in `delta` gives the same figures;
-- working points are t = 2 q pi / chi with chi evaluated at eps = 0;
+- working points are t = 2 q pi / chi; chi does not depend on eps;
 - the SQL reference 1/sqrt(N t) uses N = peak total excitation over [0, t],
   sampled on a fixed uniform grid;
 - decibel comparisons are 20 log10 of a sensitivity ratio (power dB of the
@@ -16,15 +17,14 @@ Conventions (also echoed in report metadata):
 """
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .config import (ConfigurationError, NumericalError, RegimeError,
                      collective_rate, ep3_sensor, ep4_system)
 from .gaussian import (apply_external_loss, coherent_init, evolve, propagator,
-                       evolve_lossy_trace, total_excitation,
-                       two_mode_squeezer_coefficients)
+                       evolve_lossy_trace, total_excitation)
 from .model import ep4_locus
 from .perturb import regime_ok
 from .spectral import _log_fit, eigensolve
@@ -119,8 +119,8 @@ class ScalingFit:
 
 
 def working_point_time(config, q=1):
-    """t = 2 q pi / chi, with chi at eps = 0."""
-    return 2.0 * np.pi * q / collective_rate(config.with_perturbation(0.0))
+    """t = 2 q pi / chi."""
+    return 2.0 * np.pi * q / collective_rate(config)
 
 
 def _final_state(config, t, eta=None):
@@ -139,12 +139,8 @@ def _state_derivative(config, t, h, mode="same", eta=None):
     """(dmu, dcov): d/d(eps) of the mean and covariance of the evolved state
     (after the readout loss eta when given), by a central difference of step
     h about the configured state: config.epsilon is shifted by +-h along the
-    sensed direction, every magnon for "same", magnon 1 for
-    "single"/"different"."""
-    step = np.asarray(config.with_perturbation(h, mode).epsilon)
-    shifted = (replace(config, epsilon=tuple(np.add(config.epsilon, s)))
-               for s in (step, -step))
-    plus, minus = (_final_state(c, t, eta) for c in shifted)
+    sensed direction `mode` (config.PERTURBATIONS)."""
+    plus, minus = (_final_state(config.shifted(s, mode), t, eta) for s in (h, -h))
     return (plus.mu - minus.mu) / (2.0 * h), (plus.cov - minus.cov) / (2.0 * h)
 
 
@@ -291,9 +287,8 @@ def sensitivity(config, obs, t, mode="same", eta=None):
     loss eta, and SQL comparison (no SQL at t = 0).
 
     valid_regime is true when the configured perturbation lies in the
-    first-order regime eps < 0.1 chi^3, with chi taken at eps = 0; it is
-    false where chi is undefined (at or beyond the exceptional point, or
-    not the three-mode sensor)."""
+    first-order regime eps < 0.1 chi^3; it is false where chi is undefined
+    (at or beyond the exceptional point, or not the three-mode sensor)."""
     s = susceptibility(config, obs, t, mode=mode, eta=eta)
     nz = noise_variance(config, obs, t, eta=eta)
     delta = float(np.sqrt(nz) / s) if s > 0 else np.inf
@@ -305,7 +300,7 @@ def sensitivity(config, obs, t, mode="same", eta=None):
     else:
         n_peak, sql_value = np.nan, np.nan
     try:
-        chi = collective_rate(config.with_perturbation(0.0))
+        chi = collective_rate(config)
     except (ConfigurationError, RegimeError):
         chi = np.nan
     regime = bool(np.isfinite(chi)) and regime_ok(*config.epsilon, chi)
@@ -393,13 +388,13 @@ def _ep3_qfi_point(chi):
 
 
 def _ep2_point(chi):
-    step = 1e-10
-    delta = float(np.sqrt(1.0 + chi * chi))
-    t = 2.0 * np.pi * SCALING_Q / chi
-    ap, _ = two_mode_squeezer_coefficients(delta, 1.0, step, t)
-    am, _ = two_mode_squeezer_coefficients(delta, 1.0, -step, t)
-    slope = np.sqrt(2.0) * SCALING_ALPHA * abs(ap.imag - am.imag) / (2.0 * step)
-    return chi, float(np.sqrt(0.5) / slope)
+    """The two-mode reference at chi t = 2 q pi, exactly: there
+    |d Im A/d eps| = (1 + chi^2) t / chi^2 with A from
+    gaussian.two_mode_squeezer_coefficients, the optimal quadrature responds
+    with sqrt(2) alpha times that and its noise is 1/2, so
+    delta_eps = chi^3 / (4 pi q alpha (1 + chi^2))."""
+    value = chi ** 3 / (4.0 * np.pi * SCALING_Q * SCALING_ALPHA * (1.0 + chi * chi))
+    return chi, float(value)
 
 
 def _ep4_point(chi_target):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import RegimeError
+from .config import RegimeError, sensed_magnons
 from .spectral import cardano_eigenvalues
 
 DEFAULT_REGIME_RATIO = 0.1
@@ -224,10 +224,11 @@ def first_order_propagator(g, eps1, eps2, t):
 def susceptibility_derivatives(g, t, case="same"):
     """Closed-form d/d(eps) of (A1, A2, C) at eps = 0, lossless.
 
-    case "same": both detunings shifted together; case "different": only the
+    case "same": both detunings shifted together; case "single": only the
     first. All derivatives are purely imaginary, which is why the signal
     lands in the X quadratures for imaginary initial amplitudes.
     """
+    sensed_magnons(case)    # rejects an unknown direction
     chi2 = 1.0 - g * g
     if chi2 <= 0:
         raise RegimeError("derivatives defined on the oscillatory side g < 1")
@@ -245,7 +246,7 @@ def susceptibility_derivatives(g, t, case="same"):
         dC = (-1j * g * (1 + g * g) * ct / x5
               - 1j * g * (1 + g * g) * ct * c / (2 * x5)
               + 1j * 3.0 * g * (1 + g * g) * s / (2 * x5))
-    elif case == "different":
+    else:
         # the sin coefficient of dA2 is 3 g^2 (not 3 g^4): differentiating
         # the first-order coefficient forms gives d(q3)/d(eps1) = 3 g^2,
         # which finite differences of the exact propagator confirm
@@ -258,8 +259,6 @@ def susceptibility_derivatives(g, t, case="same"):
         dC = (-1j * g * ct / x5
               - 1j * g ** 3 * ct * c / (2 * x5)
               + 1j * g * (2.0 + g * g) * s / (2 * x5))
-    else:
-        raise ValueError(f"case must be 'same' or 'different', got {case!r}")
     return CoefficientDerivatives(dA1=dA1, dA2=dA2, dC=dC)
 
 

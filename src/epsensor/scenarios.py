@@ -22,13 +22,12 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import metrology
-from .config import ConfigurationError, SystemConfig
+from .config import PERTURBATIONS, ConfigurationError, RegimeError, SystemConfig
 from .gaussian import coherent_init, evolve_lossy_trace, excitation_numbers
 from .metrology import (SensitivityReport, observable, sensitivity,
                         working_point_time)
-from .spectral import (coupling_shift, cubic_discriminant, eigensolve,
-                       match_branches, puiseux_fit, same_detuning_shift,
-                       single_detuning_shift)
+from .spectral import (PUISEUX_DIRECTIONS, cubic_discriminant, eigensolve,
+                       match_branches, puiseux_fit)
 
 def fmt(value):
     """Stable text form: 17 significant digits for floats."""
@@ -159,18 +158,21 @@ def parse_scenario(text, name_hint="scenario"):
                 f"field {key!r}: got {getattr(scenario, key)!r}, expected one of "
                 f"{values} for experiment {experiment!r}")
     observable(scenario.observable, system.n)
-    _time_terms(scenario.time)
+    _, q = _time_terms(scenario.time)
+    needs_chi = q is not None and "time" in fields
     times = scenario.sweep_param == "t" or experiment in ("evolve_trace", "qfi_trace")
     if times and min(scenario.sweep_grid) < 0:
         raise ConfigurationError("field 'sweep_grid': a grid of times must not be negative")
     setter = _sweep_setters(system).get(scenario.sweep_param)
     for value in scenario.sweep_grid:
         try:
-            if setter is not None:
-                setter(system, value)      # SystemConfig validates the swept value
-            elif scenario.sweep_param == "eta" and not 0.0 <= value <= 1.0:
+            # SystemConfig validates the swept value, collective_rate its chi
+            swept = system if setter is None else setter(system, value)
+            if scenario.sweep_param == "eta" and not 0.0 <= value <= 1.0:
                 raise ConfigurationError("a transmissivity must lie in [0, 1]")
-        except ConfigurationError as exc:
+            if needs_chi:
+                working_point_time(swept, q)
+        except (ConfigurationError, RegimeError) as exc:
             raise ConfigurationError(
                 f"field 'sweep_grid': {scenario.sweep_param} = {value!r}: {exc}") from None
     return scenario
@@ -201,7 +203,7 @@ def _sweep_setters(config):
     setters = {f"{name}{i + 1}": _set_entry(name, i)
                for name in ("g", "kappa", "delta", "epsilon")
                for i in range(len(getattr(config, name)))}
-    setters["eps_same"] = lambda c, v: c.with_perturbation(v, "same")
+    setters["eps_same"] = lambda c, v: replace(c, epsilon=(v,) * (c.n - 1))
     setters["gamma"] = lambda c, v: replace(c, gamma=v)
     setters["Gamma"] = lambda c, v: replace(c, Gamma=v)
     return setters
@@ -286,13 +288,8 @@ def _run_discriminant_map(scn):
     return cols, rows, {"points": len(rows)}
 
 
-_PERTURBATIONS = {"same": same_detuning_shift, "single": single_detuning_shift,
-                  "coupling": coupling_shift}
-
-
 def _run_puiseux(scn):
-    fit = puiseux_fit(scn.system, np.asarray(scn.sweep_grid),
-                      _PERTURBATIONS[scn.perturbation])
+    fit = puiseux_fit(scn.system, np.asarray(scn.sweep_grid), scn.perturbation)
     cols = ["eps", "splitting"]
     rows = [[eps, float(v)] for eps, v in zip(scn.sweep_grid, fit.splittings)]
     summary = {"slope": fit.slope, "intercept": fit.intercept,
@@ -355,14 +352,13 @@ def _run_scaling(scn):
                         "excluded": ",".join(fmt(x) for x in fit.excluded)}
 
 
-_MODES = ("same", "single", "different")   # the sensed directions of metrology
 _SWEEPS = ("<system>",)     # stands for every name of _sweep_setters(system)
 
 _COMMON = {**dict.fromkeys(("name", "experiment", "sweep_grid", "output")),
            "format": ("csv", "json")}
 _SYSTEM = dict.fromkeys(("n", "m", "g", "kappa", "delta", "epsilon", "gamma", "Gamma"))
 _STATE = {**_SYSTEM, "alpha": None, "observable": None}
-_SENSING = {**_STATE, "time": None, "perturbation": _MODES}
+_SENSING = {**_STATE, "time": None, "perturbation": tuple(PERTURBATIONS)}
 
 # Each experiment's driver and the fields it reads, each field mapped to the
 # values it may take (None: any value of the field's own grammar); every
@@ -372,11 +368,11 @@ _SENSING = {**_STATE, "time": None, "perturbation": _MODES}
 _EXPERIMENTS = {
     "spectrum_sweep": (_run_spectrum_sweep, {**_SYSTEM, "sweep_param": _SWEEPS}),
     "discriminant_map": (_run_discriminant_map, {**_SYSTEM, "sweep_param": _SWEEPS}),
-    "puiseux": (_run_puiseux, {**_SYSTEM, "perturbation": tuple(_PERTURBATIONS)}),
+    "puiseux": (_run_puiseux, {**_SYSTEM, "perturbation": PUISEUX_DIRECTIONS}),
     "evolve_trace": (_run_evolve_trace, _STATE),
     "sensitivity_sweep": (_run_sensitivity_sweep,
                           {**_SENSING, "sweep_param": _SWEEPS + ("t", "eta")}),
-    "qfi_trace": (_run_qfi_trace, {**_STATE, "perturbation": _MODES}),
+    "qfi_trace": (_run_qfi_trace, {**_STATE, "perturbation": tuple(PERTURBATIONS)}),
     "scaling": (_run_scaling, {"family": tuple(metrology._SCALING_POINTS)}),
     "loss_sweep": (_run_sensitivity_sweep,
                    {**_SENSING, "sweep_param": ("gamma", "Gamma", "eta")}),

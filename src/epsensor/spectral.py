@@ -17,7 +17,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .config import ConfigurationError, NumericalError, SystemConfig
+from .config import (PERTURBATIONS, ConfigurationError, NumericalError,
+                     SystemConfig, sensed_magnons)
 from .model import build_system
 
 EPS = np.finfo(float).eps
@@ -370,10 +371,9 @@ def perturbed_eigenvalues_analytic(eps, case="same"):
     when both magnon modes are shifted together.
 
     Branch order matches the cubic solution: (e^{-i 2pi/3}, 1, e^{+i 2pi/3})
-    times (2 eps)^{1/3} for case "same", times eps^{1/3} for case "different".
+    times (2 eps)^{1/3} for case "same", times eps^{1/3} for case "single".
     """
-    if case not in ("same", "different"):
-        raise ConfigurationError(f"case must be 'same' or 'different', got {case!r}")
+    sensed_magnons(case)    # rejects an unknown direction
     if eps == 0:
         return np.zeros(3, dtype=complex)
     base = (2.0 * eps) if case == "same" else eps
@@ -385,34 +385,17 @@ def perturbed_eigenvalues_analytic(eps, case="same"):
 # ---------------------------------------------------------------------------
 # Puiseux-exponent fitting
 
-def same_detuning_shift(config, eps):
-    """Shift every magnon detuning by -eps (both ensembles sense the signal;
-    the sign puts the real branch of the splitting on the positive axis)."""
-    return replace(config, delta=tuple(d - eps for d in config.delta))
+# the directions a Puiseux fit can perturb: the sensed ones, or "coupling"
+PUISEUX_DIRECTIONS = (*PERTURBATIONS, "coupling")
 
 
-def single_detuning_shift(config, eps):
-    """Shift only the first magnon detuning by -eps."""
-    return replace(config,
-                   delta=(config.delta[0] - eps,) + tuple(config.delta[1:]))
-
-
-def coupling_shift(config, eps):
-    """Pull the first squeezing coupling below its set point by eps."""
-    return replace(config, g=(config.g[0] - eps,) + tuple(config.g[1:]))
-
-
-def max_modulus_branch(deltas):
-    return float(np.abs(deltas).max())
-
-
-def smallest_arg_branch(deltas):
-    """Modulus of the branch with the smallest |arg| among the split ones
-    (the real branch; the other branches differ only by phases e^{+-i2pi/3})."""
-    deltas = np.asarray(deltas)
-    cut = 0.5 * np.abs(deltas).max()
-    split = deltas[np.abs(deltas) >= cut]
-    return float(np.abs(split[np.argmin(np.abs(np.angle(split)))]))
+def _puiseux_perturbed(config, eps, direction):
+    """Shift the sensed perturbations by -eps (the sign puts the real
+    branch of the splitting on the positive axis), or for "coupling" pull
+    the first squeezing coupling below its set point by eps."""
+    if direction == "coupling":
+        return replace(config, g=(config.g[0] - eps,) + tuple(config.g[1:]))
+    return config.shifted(-eps, direction)
 
 
 def _log_fit(x, y):
@@ -425,16 +408,19 @@ def _log_fit(x, y):
     return float(slope), float(intercept), 1.0 - ss_res / ss_tot if ss_tot else 1.0
 
 
-def puiseux_fit(config, eps_grid, perturbation=same_detuning_shift,
-                branch_selector=max_modulus_branch):
+def puiseux_fit(config, eps_grid, direction):
     """Least-squares exponent of the eigenvalue splitting against the
     perturbation size: fits log|dlambda| = slope*log(eps) + intercept over
-    eps_grid, where dlambda is the selected branch's distance from the
-    unperturbed (exceptional-point) eigenvalue.
+    eps_grid, where dlambda is the largest distance of an eigenvalue from the
+    unperturbed (exceptional-point) eigenvalue, the configuration perturbed
+    along `direction` (one of PUISEUX_DIRECTIONS) by each eps.
 
     eps_grid must hold at least 8 positive points; the unperturbed spectrum
     must actually be degenerate (checked via the collapsed cluster).
     """
+    if direction not in PUISEUX_DIRECTIONS:
+        raise ConfigurationError(f"unknown Puiseux direction {direction!r}, "
+                                 f"expected one of {PUISEUX_DIRECTIONS}")
     eps_grid = np.asarray(eps_grid, dtype=float)
     if len(eps_grid) < 8:
         raise ConfigurationError("Puiseux fit needs at least 8 grid points")
@@ -454,9 +440,8 @@ def puiseux_fit(config, eps_grid, perturbation=same_detuning_shift,
 
     values = []
     for eps in eps_grid:
-        spec = eigensolve(perturbation(config, float(eps)))
-        deltas = spec.eigenvalues - lam0
-        values.append(branch_selector(deltas))
+        spec = eigensolve(_puiseux_perturbed(config, float(eps), direction))
+        values.append(float(np.abs(spec.eigenvalues - lam0).max()))
     values = np.asarray(values)
     if np.any(values <= 0) or not np.all(np.isfinite(values)):
         raise NumericalError("eigenvalue splitting vanished or overflowed on the grid")

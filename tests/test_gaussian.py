@@ -45,15 +45,6 @@ class TestStates:
         assert st0.mu[0] == pytest.approx(np.sqrt(2))
         assert st0.mu[1] == 0
 
-    def test_json_round_trip(self):
-        cfg = ep3_sensor(0.9, alpha=1.5)
-        state = evolve(coherent_init(cfg), propagator(cfg, 2.2))
-        back = GaussianState.from_json_dict(state.to_json_dict())
-        assert np.allclose(back.mu, state.mu)
-        assert np.allclose(back.cov, state.cov)
-        assert back.modes == state.modes
-        assert back.time == state.time
-
 
 class TestPropagator:
     def test_identity_at_zero_time(self):

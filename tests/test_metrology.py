@@ -1,5 +1,6 @@
 from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -9,6 +10,7 @@ from epsensor import (ConfigurationError, Observable, collective_rate,
                       qfi_parts, scaling_fit, sensitivity, sql,
                       susceptibility, working_point_time)
 from epsensor import metrology, propagator
+from epsensor.acceptance import _chi_grid
 from epsensor.metrology import analytic_noise, analytic_susceptibility, db_ratio
 
 
@@ -90,7 +92,7 @@ class TestSusceptibility:
         obs = observable("X1-X2", 3)
         t = 2 * np.pi / chi
         same = susceptibility(sensor, obs, t, mode="same")
-        single = susceptibility(sensor, obs, t, mode="different")
+        single = susceptibility(sensor, obs, t, mode="single")
         assert same > single > 0
 
     def test_kappa_scaling(self):
@@ -276,6 +278,29 @@ class TestScaling:
     def test_ep2_exponent(self):
         fit = scaling_fit("ep2", self.GRID)
         assert fit.exponent == pytest.approx(3.0, abs=0.1)
+
+    def test_ep2_values_match_an_mpmath_derivative(self):
+        # oracle: d Im A/d eps at eps = 0 (mpmath.diff, dps 30) of the pair
+        # coefficient A of two_mode_squeezer_coefficients(delta, 1, eps, t)
+        # at delta = sqrt(1 + chi^2), t = 2 q pi/chi; the optimal quadrature
+        # responds with sqrt(2) alpha |d Im A/d eps| and has noise 1/2
+        grid = _chi_grid()      # criterion 6's grid
+        fit = scaling_fit("ep2", grid)
+        assert np.array_equal(fit.chis, grid)
+        with mpmath.workdps(30):
+            for chi, value in zip(grid, fit.values):
+                chi = mpmath.mpf(chi)
+                delta = mpmath.sqrt(1 + chi * chi)
+                t = 2 * mpmath.pi * metrology.SCALING_Q / chi
+
+                def im_a(eps):
+                    dp = delta + eps
+                    w = mpmath.sqrt(dp * dp - 1)
+                    return -dp * mpmath.sin(w * t) / w
+
+                slope = mpmath.sqrt(2) * metrology.SCALING_ALPHA * abs(mpmath.diff(im_a, 0))
+                expected = mpmath.sqrt(mpmath.mpf(1) / 2) / slope
+                assert abs(value - expected) / expected <= 1e-12
 
     def test_ep4_exponent_exploratory(self):
         fit = scaling_fit("ep4", np.logspace(np.log10(0.018), np.log10(0.19), 9))

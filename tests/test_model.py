@@ -4,7 +4,9 @@ from hypothesis import given, settings, strategies as st
 
 from epsensor import (ConfigurationError, RegimeError, SystemConfig,
                       build_system, check_irreducibility, check_symmetries,
-                      ep4_locus, ep4_system)
+                      ep3_sensor, ep4_locus, ep4_system, observable,
+                      perturbed_eigenvalues_analytic, puiseux_fit,
+                      susceptibility, susceptibility_derivatives)
 from epsensor.spectral import eigensolve
 
 settings.register_profile("suite", deadline=None, derandomize=True)
@@ -175,3 +177,29 @@ class TestEP4Locus:
     def test_domain_errors(self, f):
         with pytest.raises(RegimeError):
             ep4_locus(f)
+
+
+class TestSensedPerturbation:
+    def test_shifted_adds_eps_along_the_direction(self):
+        cfg = ep3_sensor(0.95, eps1=1e-3, eps2=2e-3)
+        assert cfg.shifted(1e-4, "same").epsilon == (1e-3 + 1e-4, 2e-3 + 1e-4)
+        assert cfg.shifted(1e-4, "single").epsilon == (1e-3 + 1e-4, 2e-3)
+        ep4 = ep4_system(0.2)
+        assert ep4.shifted(-1e-6, "same").epsilon == (-1e-6,) * 3
+        assert ep4.shifted(-1e-6, "single").epsilon == (-1e-6, 0.0, 0.0)
+        assert ep4.shifted(-1e-6, "same").delta == ep4.delta
+
+    @pytest.mark.parametrize("direction", ["different", "sideways"])
+    def test_an_unknown_direction_is_a_configuration_error(self, direction):
+        cfg = ep3_sensor(1.0)
+        calls = [
+            lambda: cfg.shifted(1e-6, direction),
+            lambda: puiseux_fit(cfg, np.logspace(-9, -5, 17), direction),
+            lambda: susceptibility(ep3_sensor(0.95, alpha=2.0), observable("X1-X2", 3),
+                                   10.0, mode=direction),
+            lambda: perturbed_eigenvalues_analytic(1e-6, direction),
+            lambda: susceptibility_derivatives(0.95, 10.0, direction),
+        ]
+        for call in calls:
+            with pytest.raises(ConfigurationError, match="direction"):
+                call()

@@ -162,7 +162,7 @@ class TestSusceptibilityDerivatives:
         assert d.dC == pytest.approx(expected, rel=1e-12)
 
     @pytest.mark.parametrize("g", [0.8, 0.9, 0.95])
-    @pytest.mark.parametrize("case", ["same", "different"])
+    @pytest.mark.parametrize("case", ["same", "single"])
     def test_matches_finite_differences(self, g, case):
         # oracle: central differences of the exact coefficients, step 1e-8
         chi = np.sqrt(1 - g * g)
@@ -182,7 +182,7 @@ class TestSusceptibilityDerivatives:
         chi = np.sqrt(1 - g * g)
         t = 2 * np.pi / chi
         same = susceptibility_derivatives(g, t, "same")
-        diff = susceptibility_derivatives(g, t, "different")
+        diff = susceptibility_derivatives(g, t, "single")
         combo = lambda d: abs((d.dA1 - d.dA2 + 2 * d.dC).imag)
         ratio = combo(same) / combo(diff)
         # closed forms at cos=1, sin=0: (1+g^2)(1+g)^2 * (3/2) chi t over

@@ -92,6 +92,14 @@ def _scenario(experiment, *lines):
 BAD_SWEEPS = [("loss_sweep", "eta", "0.5, 1.5"), ("loss_sweep", "gamma", "0.1, -0.2"),
               ("sensitivity_sweep", "g1", "0.5, -0.5")]
 
+# swept systems with no chi, so no working time (the default time = working:1)
+NO_WORKING_TIME = [
+    pytest.param(_scenario("sensitivity_sweep", "sweep_param = g1",
+                           "sweep_grid = 0.95, 1.05"), "g1 = 1.05", id="beyond-the-ep"),
+    pytest.param("experiment = loss_sweep\nn = 4\nm = 2\nsweep_param = eta\n"
+                 "sweep_grid = 0.5, 1\n", "eta = 0.5", id="not-the-three-mode-sensor"),
+]
+
 
 @pytest.mark.parametrize("text,fragment", [
     pytest.param(_scenario("evolve_trace", "observable = Xa", "sweep_grid = 1, 2"),
@@ -107,6 +115,8 @@ BAD_SWEEPS = [("loss_sweep", "eta", "0.5, 1.5"), ("loss_sweep", "gamma", "0.1, -
                  "sweep_grid = logspace:-1.35:-0.36:5\n", "family", id="family"),
     pytest.param(_scenario("qfi_trace", "perturbation = sideways", "sweep_grid = 1, 2"),
                  "perturbation", id="perturbation"),
+    pytest.param(_scenario("sensitivity_sweep", "sweep_param = g1", "sweep_grid = 0.9",
+                           "perturbation = different"), "perturbation", id="different"),
     *(pytest.param(_scenario("sensitivity_sweep", "sweep_param = g1",
                              "sweep_grid = 0.9, 0.95", f"time = {time}"),
                    "time", id=f"time={time}")
@@ -119,6 +129,12 @@ BAD_SWEEPS = [("loss_sweep", "eta", "0.5, 1.5"), ("loss_sweep", "gamma", "0.1, -
 ])
 def test_field_values_are_checked_at_parse_time(text, fragment):
     with pytest.raises(ConfigurationError, match=fragment):
+        parse_scenario(text)
+
+
+@pytest.mark.parametrize("text,value", NO_WORKING_TIME)
+def test_a_swept_system_without_a_working_time_is_rejected_at_parse_time(text, value):
+    with pytest.raises(ConfigurationError, match=f"'sweep_grid': {value}"):
         parse_scenario(text)
 
 
@@ -267,6 +283,18 @@ def test_cli_writes_nothing_when_a_later_scenario_is_malformed(tmp_path, capsys)
         assert main(["run", str(good), str(bad), "--out", str(tmp_path / "out")]) == 2
         assert field in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("text,value", NO_WORKING_TIME)
+def test_cli_writes_nothing_when_a_swept_system_has_no_working_time(
+        tmp_path, capsys, text, value):
+    example = os.path.join(os.path.dirname(__file__), "..", "scenarios",
+                           "ep3_splitting.scn")
+    bad = tmp_path / "bad.scn"
+    bad.write_text(text)
+    assert main(["run", example, str(bad), "--out", str(tmp_path / "out")]) == 2
+    assert value in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_runs_several_scenarios_in_one_call(tmp_path):

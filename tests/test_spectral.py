@@ -7,9 +7,7 @@ from epsensor import (ConfigurationError, SystemConfig, build_system,
                       cardano_eigenvalues, collective_rate, cubic_discriminant,
                       eigensolve, ep3_sensor, ep4_system, match_branches,
                       perturbed_eigenvalues_analytic, puiseux_fit)
-from epsensor.spectral import (aberth_roots, char_poly, coupling_shift,
-                               eigenvector_residuals, same_detuning_shift,
-                               single_detuning_shift, smallest_arg_branch)
+from epsensor.spectral import aberth_roots, char_poly, eigenvector_residuals
 
 
 def match_error(a, b):
@@ -140,7 +138,7 @@ class TestPerturbedBranches:
         assert match_error(lam, roots) < 1e-8
 
     def test_different_case_real_branch(self):
-        lam = perturbed_eigenvalues_analytic(1e-6, "different")
+        lam = perturbed_eigenvalues_analytic(1e-6, "single")
         assert lam[1] == pytest.approx(1e-2, rel=1e-4)
         # oracle: numeric roots of lambda^3 + eps lambda^2 - eps = 0; the
         # leading-order branches are short by the eps/3 next-order term
@@ -159,48 +157,42 @@ class TestPuiseuxFit:
     GRID = np.logspace(-9, -5, 17)
 
     def test_ep3_same_slope_and_prefactor(self):
-        fit = puiseux_fit(ep3_sensor(1.0), self.GRID, same_detuning_shift)
+        fit = puiseux_fit(ep3_sensor(1.0), self.GRID, "same")
         assert fit.slope == pytest.approx(1 / 3, abs=0.02)
         assert fit.branch_prefactor == pytest.approx(2 ** (1 / 3), rel=1e-3)
         assert fit.r_squared > 0.9999
 
     def test_splittings_are_the_fitted_values(self):
-        fit = puiseux_fit(ep4_system(0.2), self.GRID, same_detuning_shift)
+        fit = puiseux_fit(ep4_system(0.2), self.GRID, "same")
         assert len(fit.splittings) == len(self.GRID)
         lam0 = eigensolve(ep4_system(0.2)).eigenvalues.mean()
         for eps, value in zip(self.GRID[::5], fit.splittings[::5]):
-            shifted = eigensolve(same_detuning_shift(ep4_system(0.2), eps))
+            shifted = eigensolve(ep4_system(0.2).shifted(-eps, "same"))
             assert value == np.abs(shifted.eigenvalues - lam0).max()
         lx, ly = np.log(self.GRID), np.log(fit.splittings)
         assert np.polyfit(lx, ly, 1)[0] == pytest.approx(fit.slope, abs=1e-12)
 
     def test_prefactor_ratio(self):
-        fit_same = puiseux_fit(ep3_sensor(1.0), self.GRID, same_detuning_shift)
-        fit_single = puiseux_fit(ep3_sensor(1.0), self.GRID, single_detuning_shift)
+        fit_same = puiseux_fit(ep3_sensor(1.0), self.GRID, "same")
+        fit_single = puiseux_fit(ep3_sensor(1.0), self.GRID, "single")
         ratio = fit_same.branch_prefactor / fit_single.branch_prefactor
         assert ratio == pytest.approx(2 ** (1 / 3), rel=0.01)
 
     def test_ep4_slope(self):
-        fit = puiseux_fit(ep4_system(0.2), self.GRID, same_detuning_shift)
+        fit = puiseux_fit(ep4_system(0.2), self.GRID, "same")
         assert fit.slope == pytest.approx(0.25, abs=0.02)
 
     def test_two_fold_coupling_response(self):
-        fit = puiseux_fit(ep3_sensor(1.0), self.GRID, coupling_shift)
+        fit = puiseux_fit(ep3_sensor(1.0), self.GRID, "coupling")
         assert fit.slope == pytest.approx(0.5, abs=0.02)
-
-    def test_branch_selector(self):
-        fit = puiseux_fit(ep3_sensor(1.0), self.GRID, same_detuning_shift,
-                          branch_selector=smallest_arg_branch)
-        assert fit.slope == pytest.approx(1 / 3, abs=0.02)
 
     def test_needs_ep_configuration(self):
         with pytest.raises(ConfigurationError):
-            puiseux_fit(ep3_sensor(0.9), self.GRID, same_detuning_shift)
+            puiseux_fit(ep3_sensor(0.9), self.GRID, "same")
 
     def test_needs_enough_points(self):
         with pytest.raises(ConfigurationError):
-            puiseux_fit(ep3_sensor(1.0), np.logspace(-8, -6, 5),
-                        same_detuning_shift)
+            puiseux_fit(ep3_sensor(1.0), np.logspace(-8, -6, 5), "same")
 
 
 def test_match_branches_keeps_continuity():

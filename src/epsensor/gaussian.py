@@ -152,21 +152,23 @@ def _decompose(config):
     Uses the eigen-decomposition K = V diag(e^{-i lambda t}) V^-1 of the
     reduced matrix when V is well enough conditioned (cond(V) < COND_SWITCH).
     For nearly defective spectra, close to or at exceptional points, it falls
-    back to one scaling-and-squaring exponential of the Van Loan block
-    expm([[-A, D], [0, A^T]] t) = [[F11, F12], [0, F22]], which gives
-    S = F22^T and Q = S F12 (Van Loan, IEEE TAC 23:395, 1978).
+    back to the Van Loan block expm([[-A, D], [0, A^T]] tau) =
+    [[F11, F12], [0, F22]], S(tau) = F22^T, Q(tau) = S(tau) F12 (Van Loan,
+    IEEE TAC 23:395, 1978) at tau = t / 2^k with ||block|| tau <= 1, doubled k
+    times: Q(2 tau) = Q + S Q S^T, S(2 tau) = S^2. The block also holds
+    exp(-A tau), which at tau = t would overflow where the drift decays.
 
     Everything that depends on the configuration alone (the spectrum, V^-1
     and the diffusion in the drift eigenbasis, or the Van Loan block) is
     computed once per configuration and memoized on the frozen config; at(t)
     does only the work that depends on t, and shares what it closes over.
-    at(t) raises NumericalError when S or Q is not finite, as when
-    e^{-i lambda t} overflows on an unstable configuration.
+    at(t) raises NumericalError naming the largest growth rate when S or Q
+    is not finite, as when the map overflows on an unstable configuration.
     """
     spec = eigensolve(config)
     V = spec.right_vectors
     cond = float(np.linalg.cond(V))
-    rates = (-1j * spec.eigenvalues).real
+    growth = f"max Re(-i lambda) = {(-1j * spec.eigenvalues).real.max():.6g}"
     if cond >= COND_SWITCH:
         # imported here: scipy.linalg costs more to import than numpy, and
         # only nearly defective spectra need it
@@ -174,21 +176,24 @@ def _decompose(config):
         A, D = drift_and_diffusion(config)
         m = len(A)
         block = np.block([[-A, D], [np.zeros_like(A), A.T]])
-        # the block holds exp(-A t) too, which grows where the drift decays
-        growth = f"max |Re(-i lambda)| = {np.abs(rates).max():.6g}"
+        norm = float(np.abs(block).sum(axis=0).max())
 
         def at(t):
-            F = expm(block * t)
+            k = int(np.ceil(np.log2(norm * t))) if norm * t > 1.0 else 0
+            F = expm(block * (t / 2.0 ** k))
             S = F[m:, m:].T
-            return _finite(Propagator(S_quad=S, Q=S @ F[:m, m:], t=float(t),
-                                      method="expm", condition_number=cond), growth)
+            Q = S @ F[:m, m:]
+            for _ in range(k):
+                Q = Q + S @ Q @ S.T
+                S = S @ S
+            return _finite(Propagator(S_quad=S, Q=Q, t=float(t), method="expm",
+                                      condition_number=cond), growth)
         return at
 
     kinds = reduced_mode_kinds(config)
     Vinv = np.linalg.inv(V)
     lam = spec.eigenvalues
     diffusion = None if config.lossless else _eigen_diffusion(config, kinds, V, Vinv, lam)
-    growth = f"max Re(-i lambda) = {rates.max():.6g}"
 
     def at(t):
         K = V @ np.diag(np.exp(-1j * lam * t)) @ Vinv

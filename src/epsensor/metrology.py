@@ -26,7 +26,7 @@ from .config import (ConfigurationError, NumericalError, RegimeError,
 from .gaussian import (apply_external_loss, coherent_init, evolve, propagator,
                        evolve_lossy_trace, total_excitation)
 from .model import ep4_locus
-from .perturb import regime_ok
+from .perturb import regime_ok, susceptibility_derivatives
 from .spectral import _log_fit, eigensolve
 
 
@@ -169,24 +169,18 @@ def _sensor_shape(config):
 
 def analytic_susceptibility(config, obs, t):
     """Closed first-order |d<O>/d(eps)| ("same" mode) for the lossless
-    three-mode sensor at delta = 0 with amplitudes (i alpha, -i alpha), for
-    the X1-X2 and X1+X2 observables."""
+    three-mode sensor at delta = 0 with amplitudes (i alpha, -i alpha), from
+    the closed coefficient derivatives of perturb.susceptibility_derivatives:
+    sqrt(2) |alpha| |Im(dA1 - dA2 + 2 dC)| / kappa for X1-X2 and
+    sqrt(2) |alpha| |Im(dA1 + dA2)| / kappa for X1+X2."""
     g, k, alpha = _sensor_shape(config)
-    gt, tt = g / k, t * k
-    chi = np.sqrt(1.0 - gt * gt)
-    ct = chi * tt
     name = obs.name.replace(" ", "").upper()
-    if name == "X1-X2":
-        xi = (1.0 + gt * gt) * ct * (2.0 + np.cos(ct)) \
-            + (gt * gt - 8.0 * gt + 1.0) * np.sin(ct)
-        s = np.sqrt(2.0) * abs(alpha) * (1.0 + gt) ** 2 * xi / (2.0 * chi ** 5)
-    elif name == "X1+X2":
-        s = np.sqrt(2.0) * abs(alpha) * (1.0 + gt * gt) \
-            * (ct * (1.0 - np.cos(ct) / 2.0) + np.sin(ct) / 2.0) / chi ** 3
-    else:
+    if name not in ("X1-X2", "X1+X2"):
         raise ConfigurationError(
             f"no analytic susceptibility for observable {obs.name!r}")
-    return float(abs(s / k))
+    d = susceptibility_derivatives(g / k, t * k, "same")
+    dmu = d.dA1 - d.dA2 + 2.0 * d.dC if name == "X1-X2" else d.dA1 + d.dA2
+    return float(np.sqrt(2.0) * abs(alpha) * abs(dmu.imag) / k)
 
 
 def noise_variance(config, obs, t, eta=None):

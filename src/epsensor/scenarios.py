@@ -10,8 +10,10 @@ Experiment types: spectrum_sweep, discriminant_map, puiseux, evolve_trace,
 sensitivity_sweep, qfi_trace, scaling, loss_sweep. One table, _EXPERIMENTS,
 names the driver of each, the fields it reads and the values each field may
 take; a scenario that sets any other field is rejected, and an output header
-echoes only those fields. See the scenarios/ directory for one worked example
-of each.
+echoes only those fields. parse_scenario resolves the observable and every
+sweep point, so a value that no driver can run is refused before any file is
+written, and the drivers only loop. See the scenarios/ directory for one
+worked example of each.
 """
 
 import json
@@ -24,10 +26,10 @@ import numpy as np
 from . import metrology
 from .config import PERTURBATIONS, ConfigurationError, RegimeError, SystemConfig
 from .gaussian import coherent_init, evolve_lossy_trace, excitation_numbers
-from .metrology import (SensitivityReport, observable, sensitivity,
+from .metrology import (Observable, SensitivityReport, observable, sensitivity,
                         working_point_time)
-from .spectral import (PUISEUX_DIRECTIONS, cubic_discriminant, eigensolve,
-                       match_branches, puiseux_fit)
+from .spectral import (PUISEUX_DIRECTIONS, _check_cubic_shape, _check_puiseux_grid,
+                       cubic_discriminant, eigensolve, match_branches, puiseux_fit)
 
 def fmt(value):
     """Stable text form: 17 significant digits for floats."""
@@ -49,10 +51,14 @@ class Scenario:
     sweep_grid: tuple
     output: str
     format: str
-    observable: str
+    observable: Observable
     time: str
     perturbation: str
     family: str
+    # with a sweep_param, one (value, config, t, eta) per grid value: the
+    # swept configuration, the time read there and the transmissivity (None
+    # where the experiment reads none)
+    points: tuple
 
 
 def parse_grid(text):
@@ -109,7 +115,8 @@ def _fields(experiment, sweep_param):
 
 
 def parse_scenario(text, name_hint="scenario"):
-    """Validate and build a Scenario from key = value text.
+    """Validate and build a Scenario from key = value text, with its parsed
+    Observable and, for a sweep, each point resolved.
 
     Raises ConfigurationError with a field-level message on any problem,
     including a field the experiment does not read.
@@ -141,41 +148,53 @@ def parse_scenario(text, name_hint="scenario"):
     except ValueError as exc:
         raise ConfigurationError(f"system fields: {exc}") from exc
     name = kv.get("name", name_hint)
-    scenario = Scenario(
+    parsed = dict(
         name=name, experiment=experiment, system=system,
         sweep_param=kv.get("sweep_param", ""),
         sweep_grid=parse_grid(kv.get("sweep_grid", "")),
         output=kv.get("output", f"{name}.csv"), format=kv.get("format", "csv"),
-        observable=kv.get("observable", "X1-X2"), time=kv.get("time", "working:1"),
+        time=kv.get("time", "working:1"),
         perturbation=kv.get("perturbation", "same"), family=kv.get("family", "ep3"))
     for key, values in fields.items():
         if values is None:
             continue
         if values[:1] == _SWEEPS:
             values = (*_sweep_setters(system), *values[1:])
-        if getattr(scenario, key) not in values:
+        if parsed[key] not in values:
             raise ConfigurationError(
-                f"field {key!r}: got {getattr(scenario, key)!r}, expected one of "
+                f"field {key!r}: got {parsed[key]!r}, expected one of "
                 f"{values} for experiment {experiment!r}")
-    observable(scenario.observable, system.n)
-    _, q = _time_terms(scenario.time)
-    needs_chi = q is not None and "time" in fields
-    times = scenario.sweep_param == "t" or experiment in ("evolve_trace", "qfi_trace")
-    if times and min(scenario.sweep_grid) < 0:
+    grid, param = parsed["sweep_grid"], parsed["sweep_param"]
+    times = param == "t" or experiment in ("evolve_trace", "qfi_trace")
+    if times and min(grid) < 0:
         raise ConfigurationError("field 'sweep_grid': a grid of times must not be negative")
-    setter = _sweep_setters(system).get(scenario.sweep_param)
-    for value in scenario.sweep_grid:
+    try:
+        if experiment == "puiseux":
+            _check_puiseux_grid(grid)
+        elif experiment == "scaling":
+            metrology._check_chi_grid(grid)
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"field 'sweep_grid': {exc}") from None
+    obs = observable(kv.get("observable", "X1-X2"), system.n)
+    t, q = _time_terms(parsed["time"]) if "time" in fields else (None, None)
+    setter = _sweep_setters(system).get(param)
+    points = []
+    for value in grid if param else ():
         try:
             # SystemConfig validates the swept value, collective_rate its chi
             swept = system if setter is None else setter(system, value)
-            if scenario.sweep_param == "eta" and not 0.0 <= value <= 1.0:
+            if experiment == "discriminant_map":
+                _check_cubic_shape(swept)
+            if param == "eta" and not 0.0 <= value <= 1.0:
                 raise ConfigurationError("a transmissivity must lie in [0, 1]")
-            if needs_chi:
-                working_point_time(swept, q)
+            when = float(value) if param == "t" else \
+                t if q is None else working_point_time(swept, q)
         except (ConfigurationError, RegimeError) as exc:
             raise ConfigurationError(
-                f"field 'sweep_grid': {scenario.sweep_param} = {value!r}: {exc}") from None
-    return scenario
+                f"field 'sweep_grid': {param} = {value!r}: {exc}") from None
+        eta = float(value) if param == "eta" else None
+        points.append((value, swept, when, eta))
+    return Scenario(**parsed, observable=obs, points=tuple(points))
 
 
 def load_scenario(path):
@@ -209,13 +228,6 @@ def _sweep_setters(config):
     return setters
 
 
-def apply_sweep_value(config, param, value):
-    setter = _sweep_setters(config).get(param)
-    if setter is None:
-        raise ConfigurationError(f"cannot apply sweep parameter {param!r} to the system")
-    return setter(config, value)
-
-
 def _time_terms(text):
     """Time grammar: a finite number t > 0, or 'working:q' with an integer
     q >= 1 for t = 2 q pi / chi. Returns (t, None) or (None, q)."""
@@ -233,12 +245,6 @@ def _time_terms(text):
                              "number > 0 or 'working:q' with an integer q >= 1")
 
 
-def resolve_time(scenario, config):
-    """The time the scenario's `time` field names, with chi from `config`."""
-    t, q = _time_terms(scenario.time)
-    return t if q is None else working_point_time(config, q)
-
-
 def _resolved_params(scenario):
     """(field, value) of each field the experiment reads, defaults filled in."""
     cfg = scenario.system
@@ -252,7 +258,7 @@ def _resolved_params(scenario):
              ("alpha", ",".join(fmt(x) for x in cfg.alpha)),
              ("sweep_param", scenario.sweep_param),
              ("sweep_grid", ",".join(fmt(x) for x in scenario.sweep_grid)),
-             ("observable", scenario.observable), ("time", scenario.time),
+             ("observable", scenario.observable.name), ("time", scenario.time),
              ("perturbation", scenario.perturbation), ("family", scenario.family)]
     fields = _fields(scenario.experiment, scenario.sweep_param)
     return [(key, value) for key, value in items if key in fields]
@@ -262,14 +268,13 @@ def _resolved_params(scenario):
 # experiment drivers; each returns (column_names, data_rows, summary)
 
 def _run_spectrum_sweep(scn):
-    cfg = scn.system
-    n = cfg.n
+    n = scn.system.n
     cols = [scn.sweep_param] + [f"re_lambda{i + 1}" for i in range(n)] \
         + [f"im_lambda{i + 1}" for i in range(n)] + ["phase", "ep_order"]
     rows = []
     prev = None
-    for value in scn.sweep_grid:
-        spectrum = eigensolve(apply_sweep_value(cfg, scn.sweep_param, value))
+    for value, config, _, _ in scn.points:
+        spectrum = eigensolve(config)
         eigs = spectrum.eigenvalues if prev is None \
             else match_branches(prev, spectrum.eigenvalues)
         prev = eigs
@@ -281,10 +286,9 @@ def _run_spectrum_sweep(scn):
 def _run_discriminant_map(scn):
     cols = [scn.sweep_param, "x", "y", "D", "phase"]
     rows = []
-    for value in scn.sweep_grid:
-        cfg = apply_sweep_value(scn.system, scn.sweep_param, value)
-        d = cubic_discriminant(cfg)
-        rows.append([value, d.x, d.y, d.D, eigensolve(cfg).phase])
+    for value, config, _, _ in scn.points:
+        d = cubic_discriminant(config)
+        rows.append([value, d.x, d.y, d.D, eigensolve(config).phase])
     return cols, rows, {"points": len(rows)}
 
 
@@ -298,8 +302,7 @@ def _run_puiseux(scn):
 
 
 def _run_evolve_trace(scn):
-    cfg = scn.system
-    obs = observable(scn.observable, cfg.n)
+    cfg, obs = scn.system, scn.observable
     n = cfg.n
     cols = ["t", "mean_obs", "var_obs"] + [f"n{i + 1}" for i in range(n)] + ["n_total"]
     rows = []
@@ -311,27 +314,13 @@ def _run_evolve_trace(scn):
 
 
 def _run_sensitivity_sweep(scn):
-    cfg = scn.system
-    obs = observable(scn.observable, cfg.n)
-    cols = list(SensitivityReport.CSV_FIELDS)
-    mode = scn.perturbation
-    rows = []
-    for value in scn.sweep_grid:
-        if scn.sweep_param == "t":
-            rep = sensitivity(cfg, obs, float(value), mode=mode)
-        elif scn.sweep_param == "eta":
-            rep = sensitivity(cfg, obs, resolve_time(scn, cfg), mode=mode,
-                              eta=float(value))
-        else:
-            swept = apply_sweep_value(cfg, scn.sweep_param, value)
-            rep = sensitivity(swept, obs, resolve_time(scn, swept), mode=mode)
-        rows.append(rep.csv_row())
-    return cols, rows, {"points": len(rows)}
+    rows = [sensitivity(config, scn.observable, t, mode=scn.perturbation, eta=eta).csv_row()
+            for _, config, t, eta in scn.points]
+    return list(SensitivityReport.CSV_FIELDS), rows, {"points": len(rows)}
 
 
 def _run_qfi_trace(scn):
-    cfg = scn.system
-    obs = observable(scn.observable, cfg.n)
+    cfg, obs = scn.system, scn.observable
     cols = ["t", "qfi", "qcrb", "inverse_delta_eps"]
     rows = []
     for t in scn.sweep_grid:

@@ -255,6 +255,14 @@ def cardano_eigenvalues(g, d1p, d2p):
                      off - np.conj(w) * Zp - w * Zm])
 
 
+def _check_cubic_shape(config):
+    """ConfigurationError unless config is the lossless n=3, m=1 system."""
+    if (config.n, config.m) != (3, 1):
+        raise ConfigurationError("cubic discriminant requires n=3, m=1")
+    if not config.lossless:
+        raise ConfigurationError("cubic discriminant is defined for lossless configs")
+
+
 def cubic_discriminant(config):
     """(x, y, D = x^3 + y^2) of the cubic eigenvalue equation for the
     lossless three-mode system. D < 0: three distinct real eigenvalues
@@ -263,10 +271,7 @@ def cubic_discriminant(config):
 
     Computed in units of kappa (x scales as kappa^2, y as kappa^3).
     """
-    if (config.n, config.m) != (3, 1):
-        raise ConfigurationError("cubic discriminant requires n=3, m=1")
-    if not config.lossless:
-        raise ConfigurationError("cubic discriminant is defined for lossless configs")
+    _check_cubic_shape(config)
     k = config.kappa[0]
     d1p, d2p = (d / k for d in config.detuning_eff)
     x, y = _cubic_xy(config.g[0] / k, d1p, d2p)
@@ -408,6 +413,16 @@ def _log_fit(x, y):
     return float(slope), float(intercept), 1.0 - ss_res / ss_tot if ss_tot else 1.0
 
 
+def _check_puiseux_grid(eps_grid):
+    """eps_grid as an array; ConfigurationError unless >= 8 positive points."""
+    eps_grid = np.asarray(eps_grid, dtype=float)
+    if len(eps_grid) < 8:
+        raise ConfigurationError("Puiseux fit needs at least 8 grid points")
+    if np.any(eps_grid <= 0):
+        raise ConfigurationError("Puiseux grid must be positive")
+    return eps_grid
+
+
 def puiseux_fit(config, eps_grid, direction):
     """Least-squares exponent of the eigenvalue splitting against the
     perturbation size: fits log|dlambda| = slope*log(eps) + intercept over
@@ -421,12 +436,7 @@ def puiseux_fit(config, eps_grid, direction):
     if direction not in PUISEUX_DIRECTIONS:
         raise ConfigurationError(f"unknown Puiseux direction {direction!r}, "
                                  f"expected one of {PUISEUX_DIRECTIONS}")
-    eps_grid = np.asarray(eps_grid, dtype=float)
-    if len(eps_grid) < 8:
-        raise ConfigurationError("Puiseux fit needs at least 8 grid points")
-    if np.any(eps_grid <= 0):
-        raise ConfigurationError("Puiseux grid must be positive")
-
+    eps_grid = _check_puiseux_grid(eps_grid)
     base = eigensolve(config)
     if base.ep_order < 2:
         raise ConfigurationError(

@@ -85,11 +85,11 @@ class TestPropagator:
 
     @pytest.mark.parametrize("cfg, t, rate", [
         (ep3_sensor(1 - 1e-6, eps1=1e-3, eps2=1e-3), 1e4, "max Re(-i lambda) = 0.109"),
-        (ep3_sensor(1 - 1e-9, gamma=0.1), 1e5, "max |Re(-i lambda)| = 0.1"),
+        (ep3_sensor(1 + 1e-9), 1e8, "max Re(-i lambda) = 4.47214e-05"),   # cond ~ 2e9
     ], ids=["eigen-unstable", "expm-long-time"])
     def test_non_finite_map_raises(self, cfg, t, rate):
-        # exp(-i lambda t) overflows on the unstable side; the Van Loan block
-        # of the fallback holds exp(-A t), which overflows for decaying modes
+        # past the exceptional point a pair of modes grows like
+        # exp(Re(-i lambda) t), which overflows at long times on either branch
         with np.errstate(all="ignore"), pytest.raises(NumericalError) as err:
             propagator(cfg, t)
         assert f"t = {t:g}" in str(err.value) and rate in str(err.value)
@@ -221,6 +221,22 @@ class TestLossyEvolution:
         out = evolve(coherent_init(cfg), P)
         assert np.abs(out.mu - mu).max() <= 1e-10 * np.abs(mu).max()
         assert np.abs(out.cov - cov).max() <= 1e-10 * np.abs(cov).max()
+
+    @pytest.mark.parametrize("cfg, t, dps, tol", [
+        # cond(V) ~ 2.3e9: the map is known to about cond(V) eps ~ 5e-7
+        (ep3_sensor(1 - 1e-9, gamma=0.1), 1e3, 120, 5e-6),
+        (ep3_sensor(1 - 1e-9, alpha=2.0, gamma=0.1, Gamma=0.01), 141.5, 60, 1e-10),
+    ], ids=["gamma-t1e3", "Gamma-t141.5"])
+    def test_fallback_is_accurate_and_physical_at_long_times(self, cfg, t, dps, tol):
+        # exp(-A t) in the Van Loan block reaches e^100 at t = 1e3: the
+        # reference needs dps 120 to resolve the cancellation in F22^T F12
+        mu, cov = _mp_van_loan_state(cfg, t, dps)
+        P = propagator(cfg, t)
+        assert P.method == "expm"
+        out = evolve(coherent_init(cfg), P)
+        assert np.abs(out.mu - mu).max() <= tol * max(np.abs(mu).max(), 1.0)
+        assert np.abs(out.cov - cov).max() <= tol * np.abs(cov).max()
+        assert out.uncertainty_min_eigenvalue() >= -1e-12 * np.abs(cov).max()
 
     def test_diffusion_is_rate_per_mode(self):
         cfg = ep3_sensor(0.9, gamma=0.2, Gamma=0.05)

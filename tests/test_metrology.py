@@ -76,9 +76,19 @@ class TestSusceptibility:
         t = 3 * np.pi / chi
         ct = chi * t
         expected = np.sqrt(2) * alpha * (1 + g * g) * (
-            ct * (1 - np.cos(ct) / 2) + np.sin(ct) / 2) / chi ** 3
+            ct * (1 - np.cos(ct) / 2) - np.sin(ct) / 2) / chi ** 3
         a = analytic_susceptibility(sensor, obs, t)
         assert a == pytest.approx(expected, rel=1e-12)
+        assert abs(a - susceptibility(sensor, obs, t)) / a < 1e-4
+
+    @pytest.mark.parametrize("g", [0.8, 0.95])
+    def test_sum_observable_off_the_working_point(self, g):
+        # at t = 0.3 periods sin(chi t) != 0, which t = 3 pi/chi does not test
+        # (criterion 4 covers X1-X2 off the working point)
+        sensor = ep3_sensor(g, alpha=2.0)
+        obs = observable("X1+X2", 3)
+        t = 0.3 * 2 * np.pi / collective_rate(sensor)
+        a = analytic_susceptibility(sensor, obs, t)
         assert abs(a - susceptibility(sensor, obs, t)) / a < 1e-4
 
     def test_analytic_unsupported_cases(self, sensor):

@@ -5,11 +5,12 @@ import numpy as np
 import pytest
 
 from epsensor import (ConfigurationError, ep3_sensor, noise_variance,
-                      observable, qfi, susceptibility)
+                      observable, qfi, sensitivity, susceptibility,
+                      working_point_time)
 from epsensor import gaussian
 from epsensor.cli import main
-from epsensor.scenarios import (apply_sweep_value, fmt, load_scenario,
-                                parse_grid, parse_scenario, run_scenario)
+from epsensor.scenarios import (fmt, load_scenario, parse_grid, parse_scenario,
+                                run_scenario)
 
 MINIMAL = """
 name = demo
@@ -209,13 +210,53 @@ def test_theta_t_is_an_unknown_field():
         parse_scenario(MINIMAL + "theta_t = 1.0\n")
 
 
-def test_apply_sweep_value_paths():
-    scn = parse_scenario(MINIMAL)
-    cfg = scn.system
-    assert apply_sweep_value(cfg, "g1", 0.5).g == (0.5,)
-    assert apply_sweep_value(cfg, "delta2", 0.25).delta == (0.0, 0.25)
-    assert apply_sweep_value(cfg, "gamma", 0.1).gamma == 0.1
-    assert apply_sweep_value(cfg, "eps_same", 1e-3).epsilon == (1e-3, 1e-3)
+def test_parse_resolves_each_swept_configuration():
+    for param, swept in [("g1", lambda c: c.g == (0.5,)),
+                         ("delta2", lambda c: c.delta == (0.0, 0.5)),
+                         ("gamma", lambda c: c.gamma == 0.5),
+                         ("eps_same", lambda c: c.epsilon == (0.5, 0.5))]:
+        scn = parse_scenario(MINIMAL.replace("sweep_param = g1", f"sweep_param = {param}")
+                             .replace("linspace:0.9:1.1:5", "0.25, 0.5"))
+        assert [value for value, _, _, _ in scn.points] == [0.25, 0.5]
+        _, config, t, eta = scn.points[1]
+        assert swept(config) and t is None and eta is None, param
+
+
+def test_parse_resolves_the_time_and_transmissivity_of_each_point():
+    t_sweep = parse_scenario(_scenario("sensitivity_sweep", "sweep_param = t",
+                                       "sweep_grid = 1, 2.5"))
+    assert t_sweep.points == ((1.0, t_sweep.system, 1.0, None),
+                              (2.5, t_sweep.system, 2.5, None))
+    eta_sweep = parse_scenario(_scenario("loss_sweep", "sweep_param = eta",
+                                         "sweep_grid = 0.5, 1", "time = working:2"))
+    t = working_point_time(eta_sweep.system, 2)
+    assert eta_sweep.points == ((0.5, eta_sweep.system, t, 0.5),
+                                (1.0, eta_sweep.system, t, 1.0))
+    fixed = parse_scenario(_scenario("sensitivity_sweep", "sweep_param = g1",
+                                     "sweep_grid = 0.9, 0.95", "time = 7.5"))
+    assert [t for _, _, t, _ in fixed.points] == [7.5, 7.5]
+    working = parse_scenario(_scenario("sensitivity_sweep", "sweep_param = g1",
+                                       "sweep_grid = 0.9, 0.95", "time = working:3"))
+    assert [(config.g, t) for _, config, t, _ in working.points] == \
+        [((g,), working_point_time(ep3_sensor(g), 3)) for g in (0.9, 0.95)]
+
+
+@pytest.mark.parametrize("text", [
+    _scenario("loss_sweep", "sweep_param = eta", "sweep_grid = 0.5, 1", "time = working:2"),
+    _scenario("loss_sweep", "sweep_param = gamma", "sweep_grid = 0, 0.1", "time = 12"),
+], ids=["eta-working-2", "gamma"])
+def test_sweep_rows_are_direct_sensitivity_calls(tmp_path, text):
+    scn = parse_scenario(text)
+    rows = _rows(run_scenario(scn, out_dir=str(tmp_path))["output"])
+    config, obs = ep3_sensor(0.95, alpha=2.0), observable("X1-X2", 3)
+    if scn.sweep_param == "eta":
+        t = working_point_time(config, 2)
+        reports = [sensitivity(config, obs, t, eta=eta) for eta in (0.5, 1.0)]
+    else:
+        reports = [sensitivity(config.with_losses(gamma, 0.0), obs, 12.0)
+                   for gamma in (0.0, 0.1)]
+    assert rows == [dict(zip(report.CSV_FIELDS, map(fmt, report.csv_row())))
+                    for report in reports]
 
 
 def test_fmt_is_17_digit_stable():
@@ -295,6 +336,38 @@ def test_cli_writes_nothing_when_a_swept_system_has_no_working_time(
     assert main(["run", example, str(bad), "--out", str(tmp_path / "out")]) == 2
     assert value in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+# values the drivers refused only after earlier scenarios had written files
+DRIVER_REFUSALS = [
+    pytest.param("experiment = puiseux\nsweep_grid = logspace:-9:-5:7\n",
+                 "at least 8 grid points", id="puiseux-7-points"),
+    pytest.param("experiment = scaling\nsweep_grid = logspace:-1.35:-0.36:4\n",
+                 ">= 5 positive points", id="scaling-4-points"),
+    pytest.param("experiment = scaling\nsweep_grid = logspace:-1:-0.1:5\n",
+                 "about a decade", id="scaling-span-7.9"),
+    pytest.param(MINIMAL.replace("spectrum_sweep", "discriminant_map") + "gamma = 0.1\n",
+                 "lossless", id="discriminant-lossy"),
+    pytest.param("experiment = discriminant_map\nn = 4\nm = 2\nsweep_param = g1\n"
+                 "sweep_grid = 0.9, 1\n", "n=3, m=1", id="discriminant-4-modes"),
+    pytest.param(MINIMAL.replace("spectrum_sweep", "discriminant_map")
+                 .replace("sweep_param = g1", "sweep_param = gamma")
+                 .replace("linspace:0.9:1.1:5", "0, 0.1"),
+                 "gamma = 0.1", id="discriminant-gamma-sweep"),
+]
+
+
+@pytest.mark.parametrize("text,fragment", DRIVER_REFUSALS)
+def test_cli_refuses_at_parse_time_what_a_driver_would_refuse(
+        tmp_path, capsys, text, fragment):
+    example = os.path.join(os.path.dirname(__file__), "..", "scenarios",
+                           "ep3_splitting.scn")
+    bad = tmp_path / "bad.scn"
+    bad.write_text(text)
+    assert main(["run", example, str(bad), "--out", str(tmp_path / "out")]) == 2
+    assert not (tmp_path / "out").exists()
+    err = capsys.readouterr().err
+    assert "'sweep_grid'" in err and fragment in err
 
 
 def test_cli_runs_several_scenarios_in_one_call(tmp_path):

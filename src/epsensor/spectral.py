@@ -2,8 +2,10 @@
 
 The matrices are tiny (n <= ~8) but defective at exceptional points, where
 QR-based eigenvector extraction degrades. Eigenvalues are therefore taken
-from the characteristic polynomial (Faddeev-LeVerrier coefficients, Aberth
-simultaneous iteration), eigenvectors from the near-null space of H - lambda I.
+from the characteristic polynomial (Faddeev-LeVerrier coefficients; Aberth
+simultaneous iteration started from the companion-matrix eigenvalues, which
+polishes them and decides which are accepted), eigenvectors from the
+near-null space of H - lambda I (one SVD over all eigenvalues).
 
 At an EPn, double-precision root finding scatters the n-fold root over a
 radius ~ eps_machine^(1/n) (about 1e-4 for n=4). Candidate clusters are
@@ -80,19 +82,15 @@ def _horner(coeffs, z):
     return v
 
 
-def _backward_floor(coeffs, z):
-    """Rounding floor of |p(z)| evaluated in double precision."""
-    powers = np.abs(z) ** np.arange(len(coeffs) - 1, -1, -1)
-    return float(np.abs(coeffs) @ powers)
-
-
 def aberth_roots(coeffs):
-    """All roots of a monic polynomial at once (Aberth-Ehrlich iteration).
+    """All roots of a monic polynomial at once (Aberth-Ehrlich iteration),
+    started from the companion-matrix eigenvalues (`np.roots`).
 
-    A root is accepted when |p(z)| falls below the double-precision
-    evaluation floor (backward stability) or its update stalls at rounding
-    level; at multiple roots the iterates stop inside the attainable fuzz
-    disk of radius ~ eps^(1/multiplicity), which the backward test accepts.
+    Aberth polishes these and decides: a root is accepted when |p(z)| falls
+    below the double-precision evaluation floor (backward stability) or its
+    update stalls at rounding level; at multiple roots the iterates stop
+    inside the attainable fuzz disk of radius ~ eps^(1/multiplicity), which
+    the backward test accepts.
     Raises NumericalError with diagnostics on genuine non-convergence.
     """
     coeffs = np.asarray(coeffs, dtype=complex)
@@ -101,20 +99,20 @@ def aberth_roots(coeffs):
         return np.array([], dtype=complex)
     if n == 1:
         return np.array([-coeffs[1] / coeffs[0]])
-    deriv = coeffs[:-1] * np.arange(n, 0, -1)
-    # initial guesses on a slightly asymmetric circle sized by the root bound
-    bound = 1.0 + np.abs(coeffs[1:] / coeffs[0]).max()
-    angles = 2.0 * np.pi * (np.arange(n) + 0.25) / n + 0.5 / n
-    z = 0.5 * bound * np.exp(1j * angles)
-    scale = max(bound, 1.0)
+    scale = 1.0 + np.abs(coeffs[1:] / coeffs[0]).max()    # root bound
+    z = np.roots(coeffs).astype(complex)
     done = np.zeros(n, dtype=bool)
     for _ in range(ABERTH_MAX_ITER):
-        p = np.array([_horner(coeffs, zi) for zi in z])
-        floors = np.array([_backward_floor(coeffs, zi) for zi in z])
+        # one Horner pass over all iterates: p, p' and the rounding floor of p
+        az = np.abs(z)
+        p = dp = floors = 0.0
+        for c in coeffs:
+            dp = dp * z + p
+            p = p * z + c
+            floors = floors * az + abs(c)
         done |= np.abs(p) <= 8.0 * n * EPS * np.maximum(floors, EPS)
         if done.all():
             return z
-        dp = np.array([_horner(deriv, zi) for zi in z])
         newton = np.where(dp != 0, p / np.where(dp != 0, dp, 1.0), p)
         diff = z[:, None] - z[None, :]
         np.fill_diagonal(diff, 1.0)
@@ -281,12 +279,6 @@ def cubic_discriminant(config):
 # ---------------------------------------------------------------------------
 # eigensolve
 
-def _null_vector(M):
-    """Unit vector minimizing ||M v||, via SVD (inverse-iteration limit)."""
-    _, _, vh = np.linalg.svd(M)
-    return vh[-1].conj()
-
-
 def default_cluster_radius(H):
     return 1e-6 * max(1.0, float(np.abs(H).max()))
 
@@ -294,11 +286,12 @@ def default_cluster_radius(H):
 def eigensolve(system, cluster_radius=None):
     """Full spectral data of a dynamical matrix (reduced basis).
 
-    Accepts a SystemConfig or a bare square matrix. For the lossless
+    Accepts a SystemConfig or a bare square finite matrix. For the lossless
     three-mode system the closed cubic solution is used and cross-checked
     against the polynomial solver; the general path covers everything else.
     Eigenvalues are sorted by (Re, Im) so that parameter sweeps produce
-    continuous branches.
+    continuous branches, real parts within STABILITY_TOL * scale counting as
+    equal (a conjugate pair comes out Im < 0 first, whatever the rounding).
     """
     config = None
     if isinstance(system, SystemConfig):
@@ -308,10 +301,15 @@ def eigensolve(system, cluster_radius=None):
         H = np.asarray(system, dtype=complex)
         if H.ndim != 2 or H.shape[0] != H.shape[1]:
             raise ConfigurationError("eigensolve needs a square matrix")
+        if not np.isfinite(H).all():
+            raise ConfigurationError("eigensolve needs a finite matrix")
 
     n = H.shape[0]
     scale = max(1.0, float(np.abs(H).max()))
-    coeffs = char_poly(H)
+    with np.errstate(over="ignore", invalid="ignore"):
+        coeffs = char_poly(H)
+    if not np.isfinite(coeffs).all():
+        raise NumericalError(f"characteristic polynomial overflows: matrix scale {scale:.3e}")
     roots = aberth_roots(coeffs)
 
     roots = collapse_multiple_roots(roots, coeffs, scale)
@@ -329,17 +327,17 @@ def eigensolve(system, cluster_radius=None):
                 "analytic cubic and polynomial eigenvalues disagree: "
                 f"{_set_distance(analytic, roots):.3e}")
         roots = analytic
-    order = np.lexsort((roots.imag, roots.real))
-    roots = roots[order]
+    tol = STABILITY_TOL * scale
+    roots = roots[np.argsort(roots.real)]
+    run = np.concatenate(([0], np.cumsum(np.diff(roots.real) > tol)))
+    roots = roots[np.lexsort((roots.imag, run))]
 
-    right = np.zeros((n, n), dtype=complex)
-    I = np.eye(n)
-    for i, lam in enumerate(roots):
-        right[:, i] = _null_vector(H - lam * I)
+    _, _, vh = np.linalg.svd(H[None] - roots[:, None, None] * np.eye(n))
+    right = vh[:, -1, :].conj().T
 
     radius = default_cluster_radius(H) if cluster_radius is None else cluster_radius
     ep_order = max(len(c) for c in _cluster_indices(roots, radius))
-    phase = _classify(roots, STABILITY_TOL * scale, ep_order)
+    phase = _classify(roots, tol, ep_order)
     return Spectrum(eigenvalues=roots, right_vectors=right, phase=phase,
                     ep_order=int(ep_order))
 

@@ -1,13 +1,17 @@
 import itertools
+import math
 
+import mpmath
 import numpy as np
 import pytest
 
-from epsensor import (ConfigurationError, SystemConfig, build_system,
-                      cardano_eigenvalues, collective_rate, cubic_discriminant,
-                      eigensolve, ep3_sensor, ep4_system, match_branches,
-                      perturbed_eigenvalues_analytic, puiseux_fit)
-from epsensor.spectral import aberth_roots, char_poly, eigenvector_residuals
+from epsensor import (ConfigurationError, NumericalError, SystemConfig,
+                      build_system, cardano_eigenvalues, collective_rate,
+                      cubic_discriminant, eigensolve, ep3_sensor, ep4_locus,
+                      ep4_system, match_branches, perturbed_eigenvalues_analytic,
+                      puiseux_fit)
+from epsensor.spectral import (EPS, STABILITY_TOL, aberth_roots, char_poly,
+                               eigenvector_residuals)
 
 
 def match_error(a, b):
@@ -92,6 +96,101 @@ class TestEigensolve:
     def test_non_square_rejected(self):
         with pytest.raises(ConfigurationError):
             eigensolve(np.zeros((2, 3)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_matrix_rejected(self, bad):
+        with pytest.raises(ConfigurationError, match="finite"):
+            eigensolve(np.array([[1.0, bad], [0.0, 1.0]]))
+
+    def test_overflowing_characteristic_polynomial_names_the_scale(self):
+        with pytest.raises(NumericalError, match="matrix scale 1.000e\\+200"):
+            eigensolve(ep3_sensor(1e200))
+
+    def test_equal_real_parts_are_ordered_by_imaginary_part(self):
+        # two conjugate pairs whose real parts agree only to rounding
+        cfg = SystemConfig(n=4, m=2, g=(1.2373553272346993, 0.2744966911591107),
+                           kappa=(1.0,), delta=(1.3279421230137138, 0.09304738406448597,
+                                                -1.2348947389492277))
+        eigs = eigensolve(cfg).eigenvalues
+        assert np.abs(eigs.imag).min() > 0.27
+        for a, b in zip(eigs[:-1], eigs[1:]):
+            assert b.real - a.real >= -1e-15
+            if b.real - a.real <= STABILITY_TOL:
+                assert a.imag < b.imag
+
+
+def _attainable(reference, i, scale):
+    """100 x the double-precision accuracy attainable for reference[i]: a
+    root in a k-fold cluster of a degree-n polynomial is accurate to about
+    (eps (|r| + scale)^n / prod of its distances to the n - k farther
+    roots)^(1/k), at least the cluster's own spread."""
+    n = len(reference)
+    r = reference[i]
+    d = sorted(abs(r - reference[j]) for j in range(n) if j != i)
+    best = math.inf
+    for k in range(1, n + 1):
+        far = math.prod(d[k - 1:])
+        e_k = (EPS * (abs(r) + scale) ** n / far) ** (1.0 / k) if far > 0 else math.inf
+        best = min(best, max(e_k, d[k - 2] if k >= 2 else 0.0))
+    return max(100.0 * best, 1e-14 * scale)
+
+
+def _mpmath_eigenvalues(H):
+    with mpmath.workdps(60):
+        values = mpmath.eig(mpmath.matrix(H.tolist()), left=False, right=False)
+        return np.array([complex(v) for v in values])
+
+
+NEAR_EP = (
+    [pytest.param(ep3_sensor(1.0 + s * 10.0 ** -k), id=f"ep3-g=1{s:+}e-{k}")
+     for k in range(1, 13) for s in (1, -1)]
+    + [pytest.param(ep3_sensor(1.0, gamma=gamma), id=f"ep3-gamma={gamma}")
+       for gamma in (0.01, 0.1)]
+    + [pytest.param(ep4_system(f, g1=ep4_locus(f).g - 10.0 ** -k), id=f"ep4-f={f}-1e-{k}")
+       for f in (0.1, 0.3, 0.5) for k in range(2, 9)]
+    + [pytest.param(np.diag(np.ones(3), 1) + 0.5 * np.eye(4), id="jordan-block"),
+       pytest.param(np.zeros((3, 3)), id="zero-matrix")])
+
+
+@pytest.mark.parametrize("system", NEAR_EP)
+def test_eigenvalues_match_mpmath_near_exceptional_points(system):
+    H = build_system(system).reduced if isinstance(system, SystemConfig) else system
+    scale = max(1.0, float(np.abs(H).max()))
+    reference = _mpmath_eigenvalues(H)
+    remaining = list(range(len(reference)))
+    for value in eigensolve(system).eigenvalues:
+        j = min(remaining, key=lambda q: abs(reference[q] - value))
+        remaining.remove(j)
+        assert abs(reference[j] - value) <= _attainable(reference, j, scale)
+    # every root Aberth accepts passes its backward test
+    coeffs = char_poly(H)
+    powers = np.arange(len(coeffs) - 1, -1, -1)
+    n = len(coeffs) - 1
+    for z in aberth_roots(coeffs):
+        floor = np.abs(coeffs) @ np.abs(z) ** powers
+        assert abs(np.polyval(coeffs, z)) <= 8.0 * n * EPS * max(floor, EPS)
+
+
+def test_exactly_multiple_roots_are_attained(rng):
+    # permuted triangular matrices with exactly representable, repeated
+    # eigenvalues, some in Jordan blocks
+    values = np.array([0, 1, -1, 2, -2, 0.5, -0.5, 1j, -1j, 1 + 1j, 0.5 - 1.5j, 3])
+    for _ in range(300):
+        n = int(rng.integers(2, 7))
+        distinct = rng.choice(values, size=int(rng.integers(1, n + 1)), replace=False)
+        roots = np.concatenate([distinct, rng.choice(distinct, n - len(distinct))])
+        H = np.diag(roots.astype(complex))
+        for i in range(n - 1):
+            if roots[i] == roots[i + 1] and rng.random() < 0.7:
+                H[i, i + 1] = 1.0
+        P = np.eye(n)[rng.permutation(n)]
+        H = P @ H @ P.T
+        scale = max(1.0, float(np.abs(H).max()))
+        remaining = list(range(n))
+        for value in eigensolve(H).eigenvalues:
+            j = min(remaining, key=lambda q: abs(roots[q] - value))
+            remaining.remove(j)
+            assert abs(roots[j] - value) <= _attainable(roots, j, scale)
 
 
 class TestDiscriminant:

@@ -273,8 +273,8 @@ def _run_spectrum_sweep(scn):
         + [f"im_lambda{i + 1}" for i in range(n)] + ["phase", "ep_order"]
     rows = []
     prev = None
-    for value, config, _, _ in scn.points:
-        spectrum = eigensolve(config)
+    spectra = eigensolve([config for _, config, _, _ in scn.points])
+    for (value, _, _, _), spectrum in zip(scn.points, spectra):
         eigs = spectrum.eigenvalues if prev is None \
             else match_branches(prev, spectrum.eigenvalues)
         prev = eigs
@@ -286,9 +286,10 @@ def _run_spectrum_sweep(scn):
 def _run_discriminant_map(scn):
     cols = [scn.sweep_param, "x", "y", "D", "phase"]
     rows = []
-    for value, config, _, _ in scn.points:
+    spectra = eigensolve([config for _, config, _, _ in scn.points])
+    for (value, config, _, _), spectrum in zip(scn.points, spectra):
         d = cubic_discriminant(config)
-        rows.append([value, d.x, d.y, d.D, eigensolve(config).phase])
+        rows.append([value, d.x, d.y, d.D, spectrum.phase])
     return cols, rows, {"points": len(rows)}
 
 

@@ -7,6 +7,12 @@ simultaneous iteration started from the companion-matrix eigenvalues, which
 polishes them and decides which are accepted), eigenvectors from the
 near-null space of H - lambda I (one SVD over all eigenvalues).
 
+A sweep solves all its configurations as one stack: each step above runs
+once over the stack, so the per-call Python cost is paid once per sweep,
+and every row comes out bit-identical to its own solve (a single system
+is a stack of one). Steps that only some rows need (cluster collapse, the
+closed cubic form) run per row on those rows alone.
+
 At an EPn, double-precision root finding scatters the n-fold root over a
 radius ~ eps_machine^(1/n) (about 1e-4 for n=4). Candidate clusters are
 therefore collapsed onto a Newton-refined root of p^(k-1), accepted only
@@ -21,7 +27,7 @@ import numpy as np
 
 from .config import (PERTURBATIONS, ConfigurationError, NumericalError,
                      SystemConfig, sensed_magnons)
-from .model import build_system
+from .model import _reduced_matrix, build_system
 
 EPS = np.finfo(float).eps
 ABERTH_TOL = 1e-14           # relative update size at which a root has stalled
@@ -63,16 +69,18 @@ class PuiseuxFit:
 
 def char_poly(H):
     """Characteristic polynomial coefficients (monic, descending powers) via
-    the Faddeev-LeVerrier recursion."""
-    n = H.shape[0]
-    coeffs = np.zeros(n + 1, dtype=complex)
-    coeffs[0] = 1.0
-    M = np.zeros_like(H)
+    the Faddeev-LeVerrier recursion. H may carry leading stack axes
+    (..., n, n); the coefficients then carry the same axes (..., n + 1)."""
+    n = H.shape[-1]
+    Hs = H.reshape(-1, n, n)
+    coeffs = np.zeros((len(Hs), n + 1), dtype=complex)
+    coeffs[:, 0] = 1.0
+    M = np.zeros_like(Hs)
     I = np.eye(n)
     for k in range(1, n + 1):
-        M = H @ M + coeffs[k - 1] * I
-        coeffs[k] = -np.trace(H @ M) / k
-    return coeffs
+        M = Hs @ M + coeffs[:, k - 1, None, None] * I
+        coeffs[:, k] = -(Hs @ M).trace(axis1=1, axis2=2) / k
+    return coeffs.reshape(H.shape[:-2] + (n + 1,))
 
 
 def _horner(coeffs, z):
@@ -82,55 +90,94 @@ def _horner(coeffs, z):
     return v
 
 
+def _companion_roots(coeffs):
+    """`np.roots` of each row of a stack of monic polynomials: the
+    companion-matrix eigenvalues of the row stripped of its trailing zero
+    coefficients, then one root at 0 per stripped coefficient. Rows with
+    the same count of trailing zeros share one stacked eigenvalue call."""
+    rows, n = coeffs.shape[0], coeffs.shape[1] - 1
+    trailing = (coeffs[:, ::-1] != 0).argmax(axis=1)
+    z = np.zeros((rows, n), dtype=complex)
+    for t in set(trailing.tolist()):
+        group = trailing == t
+        degree = n - t
+        if degree:
+            A = np.zeros((int(group.sum()), degree, degree), dtype=complex)
+            A[:, 1:, :-1] = np.eye(degree - 1)
+            p = coeffs[group, :degree + 1]
+            A[:, 0, :] = -p[:, 1:] / p[:, :1]
+            z[group, :degree] = np.linalg.eigvals(A)
+    return z
+
+
+def _in_stack(i, count):
+    """Where a stacked solve failed: the row, unless the stack holds one."""
+    return "" if count == 1 else f" (configuration {i} of {count})"
+
+
 def aberth_roots(coeffs):
     """All roots of a monic polynomial at once (Aberth-Ehrlich iteration),
-    started from the companion-matrix eigenvalues (`np.roots`).
+    started from the companion-matrix eigenvalues (as `np.roots`).
 
     Aberth polishes these and decides: a root is accepted when |p(z)| falls
     below the double-precision evaluation floor (backward stability) or its
     update stalls at rounding level; at multiple roots the iterates stop
     inside the attainable fuzz disk of radius ~ eps^(1/multiplicity), which
     the backward test accepts.
+    coeffs may carry leading stack axes (..., n + 1), and the roots then
+    carry the same axes (..., n). Every row iterates as if alone: an
+    accepted root takes step 0, and a row whose roots are all accepted
+    leaves the iteration with them.
     Raises NumericalError with diagnostics on genuine non-convergence.
     """
     coeffs = np.asarray(coeffs, dtype=complex)
-    n = len(coeffs) - 1
-    if n == 0:
-        return np.array([], dtype=complex)
-    if n == 1:
-        return np.array([-coeffs[1] / coeffs[0]])
-    scale = 1.0 + np.abs(coeffs[1:] / coeffs[0]).max()    # root bound
-    z = np.roots(coeffs).astype(complex)
-    done = np.zeros(n, dtype=bool)
+    shape, n = coeffs.shape[:-1], coeffs.shape[-1] - 1
+    c = coeffs.reshape(-1, n + 1)
+    if n <= 1:
+        return (-c[:, 1:] / c[:, :1]).reshape(shape + (n,))
+    scale = 1.0 + np.abs(c[:, 1:] / c[:, :1]).max(axis=1)    # root bound
+    z = _companion_roots(c)
+    # the rows still iterating: index, iterates, accepted roots, coefficients,
+    # their magnitudes (as Python abs) and root bound
+    live, zl, done = np.arange(len(c)), z, np.zeros(z.shape, dtype=bool)
+    cl, al, sl = c, np.hypot(c.real, c.imag), scale[:, None]
     for _ in range(ABERTH_MAX_ITER):
         # one Horner pass over all iterates: p, p' and the rounding floor of p
-        az = np.abs(z)
+        az = np.abs(zl)
         p = dp = floors = 0.0
-        for c in coeffs:
-            dp = dp * z + p
-            p = p * z + c
-            floors = floors * az + abs(c)
-        done |= np.abs(p) <= 8.0 * n * EPS * np.maximum(floors, EPS)
+        for j in range(n + 1):
+            dp = dp * zl + p
+            p = p * zl + cl[:, j, None]
+            floors = floors * az + al[:, j, None]
+        done = done | (np.abs(p) <= 8.0 * n * EPS * np.maximum(floors, EPS))
         if done.all():
-            return z
+            z[live] = zl
+            return z.reshape(shape + (n,))
+        go = ~done.all(axis=1)
+        if not go.all():
+            # a row whose roots are all accepted leaves with its iterates
+            z[live[~go]] = zl[~go]
+            live, zl, done, cl, al, sl, p, dp, floors = (
+                a[go] for a in (live, zl, done, cl, al, sl, p, dp, floors))
         newton = np.where(dp != 0, p / np.where(dp != 0, dp, 1.0), p)
-        diff = z[:, None] - z[None, :]
-        np.fill_diagonal(diff, 1.0)
-        rep = (1.0 / diff).sum(axis=1) - 1.0
+        diff = zl[:, :, None] - zl[:, None, :]
+        diff[:, np.arange(n), np.arange(n)] = 1.0
+        rep = (1.0 / diff).sum(axis=2) - 1.0
         denom = 1.0 - newton * rep
         step = np.where(np.abs(denom) > 1e-300, newton / denom, newton)
         step = np.where(done, 0.0, step)
-        z = z - step
-        done |= np.abs(step) <= ABERTH_TOL * np.maximum(np.abs(z), scale)
-        if done.all():
-            return z
-    bad = np.abs(p) > 1e6 * n * EPS * np.maximum(floors, EPS)
-    if not bad.any():
-        return z
-    raise NumericalError(
-        f"root iteration did not converge: {ABERTH_MAX_ITER} iterations, "
-        f"{bad.sum()} unconverged roots, worst residual "
-        f"{np.abs(p[bad]).max():.3e}, scale {scale:.3e}")
+        zl = zl - step
+        done = done | (np.abs(step) <= ABERTH_TOL * np.maximum(np.abs(zl), sl))
+    z[live] = zl
+    bad = (np.abs(p) > 1e6 * n * EPS * np.maximum(floors, EPS)) & ~done.all(axis=1)[:, None]
+    if bad.any():
+        r = int(np.argmax(bad.any(axis=1)))
+        raise NumericalError(
+            f"root iteration did not converge: {ABERTH_MAX_ITER} iterations, "
+            f"{bad[r].sum()} unconverged roots, worst residual "
+            f"{np.abs(p[r][bad[r]]).max():.3e}, scale {scale[live[r]]:.3e}"
+            + _in_stack(live[r], len(c)))
+    return z.reshape(shape + (n,))
 
 
 def _poly_deriv(coeffs, k):
@@ -193,6 +240,11 @@ def _k_fold_consistent(coeffs, z, k):
     return True
 
 
+def _detect_radius(scale):
+    """Grouping radius at which collapse_multiple_roots looks for clusters."""
+    return np.maximum(50.0 * EPS ** 0.25 * scale, 1e-9 * scale)
+
+
 def collapse_multiple_roots(roots, coeffs, scale):
     """Collapse root clusters that are consistent with exact multiple roots.
 
@@ -204,7 +256,7 @@ def collapse_multiple_roots(roots, coeffs, scale):
     because their cluster centers fail the backward-error test.
     """
     roots = np.array(roots, dtype=complex)
-    detect_radius = max(50.0 * EPS ** 0.25 * scale, 1e-9 * scale)
+    detect_radius = _detect_radius(scale)
     for radius in (detect_radius, detect_radius / 32.0):
         for idx in _cluster_indices(roots, radius):
             k = len(idx)
@@ -273,88 +325,143 @@ def cubic_discriminant(config):
     k = config.kappa[0]
     d1p, d2p = (d / k for d in config.detuning_eff)
     x, y = _cubic_xy(config.g[0] / k, d1p, d2p)
-    return CubicDiscriminant(x=float(x), y=float(y), D=float(x ** 3 + y * y))
+    try:
+        D = x ** 3 + y * y
+    except OverflowError:
+        raise NumericalError("cubic discriminant overflows: matrix scale "
+                             f"{_matrix_scale(_reduced_matrix(config)):.3e}") from None
+    return CubicDiscriminant(x=float(x), y=float(y), D=float(D))
 
 
 # ---------------------------------------------------------------------------
 # eigensolve
 
+def _matrix_scale(H):
+    """max(1, max |H_ij|) of a matrix, or of each matrix of a stack."""
+    return np.maximum(1.0, np.abs(H).max(axis=(-2, -1)))
+
+
 def default_cluster_radius(H):
-    return 1e-6 * max(1.0, float(np.abs(H).max()))
+    return 1e-6 * _matrix_scale(H)
+
+
+def _close_pairs(roots, radius):
+    """Per row of a root stack: the number of ordered pairs of distinct
+    roots within that row's radius of each other, distances taken as
+    _cluster_indices takes them."""
+    d = roots[:, :, None] - roots[:, None, :]
+    near = np.hypot(d.real, d.imag) <= radius[:, None, None]
+    return near.sum(axis=(1, 2)) - roots.shape[1]
+
+
+def _collapse_rows(roots, coeffs, scale):
+    """collapse_multiple_roots, in place, on each row of a root stack that
+    holds a pair of roots within its detect radius (on any other row it
+    changes nothing); returns the mask of those rows."""
+    paired = _close_pairs(roots, _detect_radius(scale)) > 0
+    for i in paired.nonzero()[0]:
+        roots[i] = collapse_multiple_roots(roots[i], coeffs[i], float(scale[i]))
+    return paired
 
 
 def eigensolve(system, cluster_radius=None):
-    """Full spectral data of a dynamical matrix (reduced basis).
+    """Full spectral data of dynamical matrices (reduced basis).
 
-    Accepts a SystemConfig or a bare square finite matrix. For the lossless
-    three-mode system the closed cubic solution is used and cross-checked
-    against the polynomial solver; the general path covers everything else.
-    Eigenvalues are sorted by (Re, Im) so that parameter sweeps produce
-    continuous branches, real parts within STABILITY_TOL * scale counting as
-    equal (a conjugate pair comes out Im < 0 first, whatever the rounding).
+    Accepts a SystemConfig or a bare square finite matrix, and returns its
+    Spectrum; or a sequence of SystemConfigs of one size, and returns one
+    Spectrum per configuration. Every call solves a stack (a single system
+    is a stack of one): one characteristic-polynomial recursion, one Aberth
+    iteration and one SVD for all rows, each row bit-identical to its own
+    solve. For the lossless three-mode system the closed cubic solution is
+    used and cross-checked against the polynomial solver; the general path
+    covers everything else. Eigenvalues are sorted by (Re, Im) so that
+    parameter sweeps produce continuous branches, real parts within
+    STABILITY_TOL * scale counting as equal (a conjugate pair comes out
+    Im < 0 first, whatever the rounding). A NumericalError raised for a
+    stack of several names the failing configuration's index.
     """
-    config = None
-    if isinstance(system, SystemConfig):
-        config = system
-        H = build_system(system).reduced
+    stacked = isinstance(system, (list, tuple)) and \
+        all(isinstance(c, SystemConfig) for c in system)
+    if stacked or isinstance(system, SystemConfig):
+        configs = list(system) if stacked else [system]
+        if not configs:
+            return []
+        sizes = {c.n for c in configs}
+        if len(sizes) > 1:
+            raise ConfigurationError(
+                f"eigensolve needs configurations of one size, got n = {sorted(sizes)}")
+        H = np.array([_reduced_matrix(c) for c in configs])
     else:
         H = np.asarray(system, dtype=complex)
         if H.ndim != 2 or H.shape[0] != H.shape[1]:
             raise ConfigurationError("eigensolve needs a square matrix")
         if not np.isfinite(H).all():
             raise ConfigurationError("eigensolve needs a finite matrix")
+        configs, H = [None], H[None]
 
-    n = H.shape[0]
-    scale = max(1.0, float(np.abs(H).max()))
+    count, n = len(configs), H.shape[-1]
+    scale = _matrix_scale(H)
     with np.errstate(over="ignore", invalid="ignore"):
         coeffs = char_poly(H)
     if not np.isfinite(coeffs).all():
-        raise NumericalError(f"characteristic polynomial overflows: matrix scale {scale:.3e}")
+        i = int(np.argmin(np.isfinite(coeffs).all(axis=1)))
+        raise NumericalError("characteristic polynomial overflows: "
+                             f"matrix scale {scale[i]:.3e}" + _in_stack(i, count))
     roots = aberth_roots(coeffs)
+    paired = _collapse_rows(roots, coeffs, scale)
 
-    roots = collapse_multiple_roots(roots, coeffs, scale)
-    use_cardano = (config is not None and (config.n, config.m) == (3, 1)
-                   and config.lossless)
-    if use_cardano:
-        k = config.kappa[0]
-        d1p, d2p = (d / k for d in config.detuning_eff)
-        analytic = k * cardano_eigenvalues(config.g[0] / k, d1p, d2p)
-        analytic = collapse_multiple_roots(analytic, coeffs, scale)
+    cubic = np.array([i for i, c in enumerate(configs)
+                      if c is not None and (c.n, c.m) == (3, 1) and c.lossless], dtype=int)
+    if cubic.size:
+        analytic = []
+        for i in cubic:
+            k = configs[i].kappa[0]
+            d1p, d2p = (d / k for d in configs[i].detuning_eff)
+            try:
+                analytic.append(k * cardano_eigenvalues(configs[i].g[0] / k, d1p, d2p))
+            except OverflowError:
+                raise NumericalError("closed-form cubic overflows: matrix scale "
+                                     f"{scale[i]:.3e}" + _in_stack(i, count)) from None
+        analytic = np.array(analytic)
+        paired[cubic] = _collapse_rows(analytic, coeffs[cubic], scale[cubic])
         # near (not at) coalescence both routes carry ~eps^(1/multiplicity)
-        # root fuzz, so this guard is looser than simple-root accuracy
-        if _set_distance(analytic, roots) > 1e-6 * scale:
-            raise NumericalError(
-                "analytic cubic and polynomial eigenvalues disagree: "
-                f"{_set_distance(analytic, roots):.3e}")
-        roots = analytic
+        # root fuzz, so this guard is looser than simple-root accuracy; a
+        # non-finite closed form fails it
+        distance = _set_distance(analytic, roots[cubic])
+        agree = distance <= 1e-6 * scale[cubic]
+        if not agree.all():
+            r = int(np.argmin(agree))
+            raise NumericalError("analytic cubic and polynomial eigenvalues disagree: "
+                                 f"{distance[r]:.3e}" + _in_stack(cubic[r], count))
+        roots[cubic] = analytic
     tol = STABILITY_TOL * scale
-    roots = roots[np.argsort(roots.real)]
-    run = np.concatenate(([0], np.cumsum(np.diff(roots.real) > tol)))
-    roots = roots[np.lexsort((roots.imag, run))]
+    rows = np.arange(count)[:, None]
+    roots = roots[rows, np.argsort(roots.real, axis=1)]
+    run = np.zeros(roots.shape, dtype=int)
+    np.cumsum(roots.real[:, 1:] - roots.real[:, :-1] > tol[:, None], axis=1, out=run[:, 1:])
+    roots = roots[rows, np.lexsort((roots.imag, run), axis=1)]
 
-    _, _, vh = np.linalg.svd(H[None] - roots[:, None, None] * np.eye(n))
-    right = vh[:, -1, :].conj().T
+    _, _, vh = np.linalg.svd(H[:, None] - roots[:, :, None, None] * np.eye(n))
+    right = vh[:, :, -1, :].conj()
 
-    radius = default_cluster_radius(H) if cluster_radius is None else cluster_radius
-    ep_order = max(len(c) for c in _cluster_indices(roots, radius))
-    phase = _classify(roots, tol, ep_order)
-    return Spectrum(eigenvalues=roots, right_vectors=right, phase=phase,
-                    ep_order=int(ep_order))
+    radius = default_cluster_radius(H) if cluster_radius is None \
+        else np.full(count, float(cluster_radius))
+    # a row with no pair within its detect radius has none within a
+    # smaller cluster radius, and no cluster
+    ep_order = np.ones(count, dtype=int)
+    for i in (paired | (radius > _detect_radius(scale))).nonzero()[0]:
+        ep_order[i] = max(map(len, _cluster_indices(roots[i], radius[i])))
+    stable = np.abs(roots.imag).max(axis=1) < tol
+    spectra = [Spectrum(eigenvalues=r, right_vectors=v.T, ep_order=order,
+                        phase="exceptional" if order >= 2 else "stable" if st else "unstable")
+               for r, v, order, st in zip(roots, right, ep_order.tolist(), stable.tolist())]
+    return spectra if stacked else spectra[0]
 
 
 def _set_distance(a, b):
-    """Max over a of the distance to the nearest element of b."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    return float(max(np.abs(b - x).min() for x in a))
-
-
-def _classify(eigenvalues, tol, ep_order):
-    if ep_order >= 2:
-        return "exceptional"
-    if np.abs(np.asarray(eigenvalues).imag).max() < tol:
-        return "stable"
-    return "unstable"
+    """Per row of two stacks: max over a of the distance to the nearest
+    element of b (NaN if either holds a NaN)."""
+    return np.abs(b[:, None, :] - a[:, :, None]).min(axis=2).max(axis=1)
 
 
 def eigenvector_residuals(H, spectrum):
@@ -446,11 +553,9 @@ def puiseux_fit(config, eps_grid, direction):
     big = max(clusters, key=len)
     lam0 = base.eigenvalues[big].mean()
 
-    values = []
-    for eps in eps_grid:
-        spec = eigensolve(_puiseux_perturbed(config, float(eps), direction))
-        values.append(float(np.abs(spec.eigenvalues - lam0).max()))
-    values = np.asarray(values)
+    spectra = eigensolve([_puiseux_perturbed(config, float(eps), direction)
+                          for eps in eps_grid])
+    values = np.array([float(np.abs(s.eigenvalues - lam0).max()) for s in spectra])
     if np.any(values <= 0) or not np.all(np.isfinite(values)):
         raise NumericalError("eigenvalue splitting vanished or overflowed on the grid")
 

@@ -321,6 +321,14 @@ def test_cli_reports_an_overflowing_spectrum_as_numerical_error(tmp_path, capsys
     assert not (tmp_path / "out" / "demo.csv").exists()
 
 
+def test_cli_reports_an_overflowing_closed_form_as_numerical_error(tmp_path, capsys):
+    scn_path = tmp_path / "big.scn"
+    scn_path.write_text(MINIMAL.replace("linspace:0.9:1.1:5", "1e80, 1e90"))
+    assert main(["run", str(scn_path), "--out", str(tmp_path / "out")]) == 3
+    assert "matrix scale 1.000e+80" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "demo.csv").exists()
+
+
 def test_cli_writes_nothing_when_a_later_scenario_is_malformed(tmp_path, capsys):
     good, bad = tmp_path / "a.scn", tmp_path / "b.scn"
     good.write_text(MINIMAL)

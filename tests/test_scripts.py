@@ -42,3 +42,31 @@ def test_compare_outputs_reports_each_file(tmp_path):
     assert out.returncode == 1
     assert "same.csv: non-numeric tokens differ" in out.stdout
     assert f"only_a.csv: missing in {b}" in out.stdout
+
+
+def test_bench_outputs_writes_and_checks_each_operation(tmp_path):
+    script = os.path.join(SCRIPTS, "bench_outputs.py")
+    out = subprocess.run([sys.executable, script, "spectra", "1", "6", str(tmp_path)],
+                         capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0, out.stdout + out.stderr
+    assert sorted(p.name for p in tmp_path.iterdir()) == [f"op{i:05d}.csv" for i in range(6)]
+    assert out.stdout.splitlines()[-1] == \
+        f"spectra seed 1: 6 operations, 0 gating failures -> {tmp_path}"
+
+
+def test_bench_outputs_names_each_failing_operation(tmp_path, monkeypatch, capsys):
+    main = runpy.run_path(os.path.join(SCRIPTS, "bench_outputs.py"))["main"]
+    oracle = sys.modules["bench_oracle"]
+
+    def check(kind, text, data, index):
+        known = index == 0
+        return [oracle.Check("row_count", True),
+                oracle.Check("valid_regime" if known else "discriminant", False, 0.5, known)]
+
+    monkeypatch.setattr(oracle, "check", check)
+    assert main("spectra", 1, 3, str(tmp_path)) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:3] == ["op 0 ep3_sweep: valid_regime failed, rel err 0.5 (known defect)",
+                         "op 1 ep3_sweep_lossy: discriminant failed, rel err 0.5",
+                         "op 2 discriminant: discriminant failed, rel err 0.5"]
+    assert "2 gating failures" in lines[3]

@@ -1,5 +1,6 @@
 import itertools
 import math
+from dataclasses import replace
 
 import mpmath
 import numpy as np
@@ -106,6 +107,15 @@ class TestEigensolve:
         with pytest.raises(NumericalError, match="matrix scale 1.000e\\+200"):
             eigensolve(ep3_sensor(1e200))
 
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_non_finite_closed_form_fails_the_cross_check(self):
+        # Cardano's cube roots overflow to NaN here while the polynomial
+        # solver stays finite
+        cfg = SystemConfig(n=3, m=1, g=(8e51,), kappa=(1.0,), delta=(3.3e51, 1.05e52))
+        assert np.isnan(cardano_eigenvalues(8e51, 3.3e51, 1.05e52)).all()
+        with pytest.raises(NumericalError, match="disagree: nan"):
+            eigensolve(cfg)
+
     def test_equal_real_parts_are_ordered_by_imaginary_part(self):
         # two conjugate pairs whose real parts agree only to rounding
         cfg = SystemConfig(n=4, m=2, g=(1.2373553272346993, 0.2744966911591107),
@@ -193,6 +203,83 @@ def test_exactly_multiple_roots_are_attained(rng):
             assert abs(roots[j] - value) <= _attainable(roots, j, scale)
 
 
+def _stack_kinds(rng):
+    """Seeded stacks of one size, one per kind of sweep a scenario solves
+    in one call."""
+    grid = np.sort(np.append(rng.uniform(0.8, 1.2, 30), 1.0))
+    f = rng.uniform(0.1, 0.6)
+    locus = ep4_locus(f)
+    g, d = rng.uniform(0.8, 1.2), rng.uniform(-0.3, 0.3)
+    base = ep3_sensor(1.0)
+    return {
+        "ep3": [ep3_sensor(x) for x in grid],
+        "ep3_lossy": [ep3_sensor(x, gamma=rng.uniform(0.01, 0.2),
+                                 Gamma=rng.uniform(0.0, 0.01)) for x in grid],
+        "ep4_locus": [ep4_system(f, g1=locus.g + x) for x in rng.uniform(-0.2, 0.2, 20)]
+        + [ep4_system(f)],
+        "discriminant": [replace(ep3_sensor(g), delta=(x, d))
+                         for x in np.sort(rng.uniform(-0.5, 0.5, 30))],
+        "puiseux": [base.shifted(-eps, "same") for eps in np.logspace(-9, -5, 17)],
+        "puiseux_ep4": [ep4_system(f).shifted(-eps, "single")
+                        for eps in np.logspace(-9, -5, 17)],
+        "gamma_from_0": [ep3_sensor(g, gamma=x) for x in np.linspace(0.0, 0.2, 21)],
+        "delta_0_lossless": [ep3_sensor(x) for x in rng.uniform(0.0, 2.0, 15)]
+        + [ep3_sensor(x, eps1=rng.uniform(-0.1, 0.1)) for x in rng.uniform(0.0, 2.0, 15)],
+    }
+
+
+def _bits(spectrum):
+    return (spectrum.eigenvalues.tobytes(), spectrum.right_vectors.tobytes(),
+            spectrum.phase, spectrum.ep_order)
+
+
+class TestStackedEigensolve:
+    @pytest.mark.parametrize("kind", ["ep3", "ep3_lossy", "ep4_locus", "discriminant",
+                                      "puiseux", "puiseux_ep4", "gamma_from_0",
+                                      "delta_0_lossless"])
+    def test_rows_are_bit_identical_to_one_at_a_time(self, rng, kind):
+        configs = _stack_kinds(rng)[kind]
+        stacked = eigensolve(configs)
+        assert len(stacked) == len(configs)
+        for config, spectrum in zip(configs, stacked):
+            assert _bits(spectrum) == _bits(eigensolve(config))
+
+    def test_kinds_reach_every_branch(self, rng):
+        kinds = _stack_kinds(rng)
+        # the exact EP4 row collapses to a fourfold root
+        assert eigensolve(kinds["ep4_locus"])[-1].ep_order == 4
+        # lossless delta = 0 rows have a constant coefficient of exactly 0
+        constants = [char_poly(build_system(c).reduced)[-1] for c in kinds["delta_0_lossless"]]
+        assert 0 < sum(x == 0 for x in constants) < len(constants)
+        # a gamma sweep from 0 mixes closed-form rows with general rows
+        assert kinds["gamma_from_0"][0].lossless and not kinds["gamma_from_0"][1].lossless
+
+    def test_polynomial_layers_take_stack_axes(self, rng):
+        H = np.array([build_system(c).reduced for c in _stack_kinds(rng)["ep3_lossy"]])
+        coeffs = char_poly(H)
+        roots = aberth_roots(coeffs)
+        assert coeffs.shape == (len(H), 4) and roots.shape == (len(H), 3)
+        for h, c, r in zip(H, coeffs, roots):
+            assert char_poly(h).tobytes() == c.tobytes()
+            assert aberth_roots(c).tobytes() == r.tobytes()
+        assert aberth_roots(coeffs.reshape(1, -1, 4)).shape == (1, len(H), 3)
+
+    def test_empty_stack(self):
+        assert eigensolve([]) == []
+
+    def test_mixed_sizes_rejected(self):
+        with pytest.raises(ConfigurationError, match="one size"):
+            eigensolve([ep3_sensor(0.9), ep4_system(0.2)])
+
+    def test_overflowing_row_is_named(self):
+        with pytest.raises(NumericalError,
+                           match=r"matrix scale 1\.000e\+200 \(configuration 1 of 3\)"):
+            eigensolve([ep3_sensor(0.9), ep3_sensor(1e200), ep3_sensor(1.1)])
+        with pytest.raises(NumericalError, match=r"closed-form cubic overflows: "
+                           r"matrix scale 1\.000e\+80 \(configuration 1 of 2\)"):
+            eigensolve([ep3_sensor(0.9), ep3_sensor(1e80)])
+
+
 class TestDiscriminant:
     def test_triple_point(self):
         d = cubic_discriminant(ep3_sensor(1.0))
@@ -212,6 +299,10 @@ class TestDiscriminant:
         assert d.x == pytest.approx(0.0341666666666667, rel=1e-10)
         assert d.D > 0
         assert eigensolve(cfg).phase == "unstable"
+
+    def test_overflow_names_the_matrix_scale(self):
+        with pytest.raises(NumericalError, match="matrix scale 1.000e\\+80"):
+            cubic_discriminant(ep3_sensor(1e80))
 
     def test_requires_three_mode_lossless(self):
         with pytest.raises(ConfigurationError):

@@ -4,8 +4,12 @@
     python scripts/compare_outputs.py DIR_A DIR_B
 
 Prints, per file, "identical" or the largest relative difference of the
-numeric tokens. Exits 1 if a file is missing on one side or a non-numeric
-token (or the token count) differs.
+numeric tokens. Exit status:
+
+    0  every file is on both sides and byte-identical;
+    1  a file is missing on one side, or two files differ in anything but
+       their numbers (a non-numeric token, a separator or the token count);
+    2  otherwise, when some files differ only in their numbers.
 """
 
 import cmath
@@ -14,17 +18,18 @@ import pathlib
 import re
 import sys
 
-SEPARATORS = re.compile(r'[\s,;=:\[\]{}()"]+')
+SEPARATORS = re.compile(r'([\s,;=:\[\]{}()"]+)')
 
 
 def compare(a, b):
-    """Largest relative difference of the numeric tokens of texts a and b,
-    or None if a non-numeric token differs."""
+    """Largest relative difference of the numeric tokens of texts a and b
+    (0 where a number is only written differently), or None if they differ
+    anywhere else."""
     ta, tb = SEPARATORS.split(a), SEPARATORS.split(b)
-    if len(ta) != len(tb):
+    if len(ta) != len(tb) or ta[1::2] != tb[1::2]:
         return None
     worst = 0.0
-    for x, y in ((x, y) for x, y in zip(ta, tb) if x != y):
+    for x, y in ((x, y) for x, y in zip(ta[::2], tb[::2]) if x != y):
         try:
             u, v = complex(x), complex(y)
         except ValueError:
@@ -38,19 +43,24 @@ def compare(a, b):
 def main(dir_a, dir_b):
     roots = [pathlib.Path(dir_a), pathlib.Path(dir_b)]
     names = sorted({str(p.relative_to(r)) for r in roots for p in r.rglob("*") if p.is_file()})
-    bad = False
+    status = 0
     for name in names:
         a, b = (r / name for r in roots)
         if not (a.is_file() and b.is_file()):
             print(f"{name}: missing in {dir_b if a.is_file() else dir_a}")
-            bad = True
+            status = 1
+            continue
+        if a.read_bytes() == b.read_bytes():
+            print(f"{name}: identical")
             continue
         worst = compare(a.read_text(), b.read_text())
-        bad = bad or worst is None
-        print(f"{name}: " + ("non-numeric tokens differ" if worst is None else
-                              "identical" if a.read_bytes() == b.read_bytes() else
-                              f"largest relative difference {worst:.3g}"))
-    return 1 if bad else 0
+        if worst is None:
+            print(f"{name}: non-numeric tokens differ")
+            status = 1
+        else:
+            print(f"{name}: largest relative difference {worst:.3g}")
+            status = status or 2
+    return status
 
 
 if __name__ == "__main__":

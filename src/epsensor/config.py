@@ -7,6 +7,7 @@ user, converts them to physical rad/s; see ``metrology.feasibility_check``
 for the documented conversion used in reports.
 """
 
+import cmath
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -28,6 +29,18 @@ class NumericalError(RuntimeError):
 # that the sensed shift eps moves, every magnon's for "same" and magnon 1's
 # for "single".
 PERTURBATIONS = {"same": slice(None), "single": slice(0, 1)}
+
+
+def _entries(value, kind):
+    """A field given as a scalar or a sequence, as a tuple of `kind`: the
+    entries np.atleast_1d reads, each converted by `kind`. A list or tuple
+    that `kind` converts entry by entry skips numpy, with the same result."""
+    if type(value) in (tuple, list):
+        try:
+            return tuple(map(kind, value))
+        except (TypeError, ValueError):
+            pass    # a nested or non-numeric entry: numpy reads it, or raises
+    return tuple(kind(x) for x in np.atleast_1d(value))
 
 
 def sensed_magnons(direction):
@@ -76,27 +89,33 @@ class SystemConfig:
             raise ConfigurationError(f"need n >= 2 modes, got n={n}")
         if not 1 <= m <= n - 1:
             raise ConfigurationError(f"need 1 <= m <= n-1, got m={m}, n={n}")
-        object.__setattr__(self, "g", tuple(float(x) for x in np.atleast_1d(self.g)))
-        object.__setattr__(self, "kappa", tuple(float(x) for x in np.atleast_1d(self.kappa)))
-        delta = self.delta if len(np.atleast_1d(self.delta)) else (0.0,) * (n - 1)
-        eps = self.epsilon if len(np.atleast_1d(self.epsilon)) else (0.0,) * (n - 1)
-        alpha = self.alpha if len(np.atleast_1d(self.alpha)) else (0.0,) * (n - 1)
-        object.__setattr__(self, "delta", tuple(float(x) for x in np.atleast_1d(delta)))
-        object.__setattr__(self, "epsilon", tuple(float(x) for x in np.atleast_1d(eps)))
-        object.__setattr__(self, "alpha", tuple(complex(x) for x in np.atleast_1d(alpha)))
-        if len(self.g) != m:
-            raise ConfigurationError(f"g must have length m={m}, got {len(self.g)}")
-        if len(self.kappa) != n - m - 1:
+        g, kappa = _entries(self.g, float), _entries(self.kappa, float)
+        # an empty delta, epsilon or alpha is zero on every magnon
+        delta = _entries(self.delta, float) or (0.0,) * (n - 1)
+        epsilon = _entries(self.epsilon, float) or (0.0,) * (n - 1)
+        alpha = _entries(self.alpha, complex) or (0j,) * (n - 1)
+        for name, value in (("g", g), ("kappa", kappa), ("delta", delta),
+                            ("epsilon", epsilon), ("alpha", alpha)):
+            object.__setattr__(self, name, value)
+        if len(g) != m:
+            raise ConfigurationError(f"g must have length m={m}, got {len(g)}")
+        if len(kappa) != n - m - 1:
             raise ConfigurationError(
-                f"kappa must have length n-m-1={n - m - 1}, got {len(self.kappa)}")
-        for name in ("delta", "epsilon", "alpha"):
-            if len(getattr(self, name)) != n - 1:
+                f"kappa must have length n-m-1={n - m - 1}, got {len(kappa)}")
+        for name, value in (("delta", delta), ("epsilon", epsilon), ("alpha", alpha)):
+            if len(value) != n - 1:
                 raise ConfigurationError(
-                    f"{name} must have length n-1={n - 1}, got {len(getattr(self, name))}")
-        if any(x < 0 for x in self.g) or any(x < 0 for x in self.kappa):
+                    f"{name} must have length n-1={n - 1}, got {len(value)}")
+        if any(x < 0 for x in g + kappa):
             raise ConfigurationError("coupling strengths must be >= 0")
         if self.gamma < 0 or self.Gamma < 0:
             raise ConfigurationError("decay rates must be >= 0")
+        if not all(map(cmath.isfinite, (*g, *kappa, *delta, *epsilon, self.gamma,
+                                        self.Gamma, *alpha))):
+            for name in ("g", "kappa", "delta", "epsilon", "gamma", "Gamma", "alpha"):
+                value = getattr(self, name)
+                if not all(map(cmath.isfinite, np.atleast_1d(value))):
+                    raise ConfigurationError(f"{name} must be finite, got {value!r}")
 
     @property
     def detuning_eff(self):

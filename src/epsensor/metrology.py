@@ -366,6 +366,8 @@ def scaling_fit(family, chi_grid):
 
 def _ep3_working_point(chi):
     g = float(np.sqrt(1.0 - chi * chi))
+    if not np.isfinite(g):
+        raise NumericalError(f"the coupling g = sqrt(1 - chi^2) = {g} is not finite")
     return ep3_sensor(g, alpha=SCALING_ALPHA), 2.0 * np.pi * SCALING_Q / chi
 
 

@@ -70,18 +70,28 @@ class EP4Locus:
                 f"{self.delta3:.6g}), g={self.g:.6g})")
 
 
-def _reduced_matrix(config):
-    n, m = config.n, config.m
-    dp = config.detuning_eff
-    h = np.zeros((n, n), dtype=complex)
-    couplings = list(config.g) + list(config.kappa)
-    for i in range(n - 1):
-        sign = 1.0 if i < m else -1.0
-        h[i, i] = sign * dp[i] - 1j * config.Gamma
-        h[i, n - 1] = sign * couplings[i]
-        h[n - 1, i] = -couplings[i]
-    h[n - 1, n - 1] = -1j * config.gamma
-    return h
+def _reduced_matrices(configs):
+    """The reduced matrices of configurations of one size n, stacked
+    (len(configs), n, n) and filled in one pass over the stack. Each entry
+    is set as its scalar formula would set it, signed zeros included: the
+    diagonal sign * d'_i - i Gamma (cavity: -i gamma), the last column
+    sign * coupling and the last row -coupling, sign = -1 on the
+    beam-splitter magnons."""
+    n = configs[0].n
+    # per configuration: m, delta, epsilon, couplings (g then kappa), Gamma, gamma
+    p = np.array([(c.m, *c.delta, *c.epsilon, *c.g, *c.kappa, c.Gamma, c.gamma)
+                  for c in configs], dtype=float)
+    delta, epsilon, couplings = (p[:, 1 + k * (n - 1):1 + (k + 1) * (n - 1)]
+                                 for k in range(3))
+    sign = np.where(np.arange(n - 1) < p[:, :1], 1.0, -1.0)
+    magnons = np.arange(n - 1)
+    H = np.zeros((len(p), n, n), dtype=complex)
+    H.real[:, magnons, magnons] = sign * (delta + epsilon)
+    H.imag[:, magnons, magnons] = (0.0 - p[:, -2])[:, None]    # -1j * Gamma: +0.0 at 0
+    H.real[:, magnons, n - 1] = sign * couplings
+    H.real[:, n - 1, magnons] = -couplings
+    H.imag[:, n - 1, n - 1] = -p[:, -1]                         # -1j * gamma: -0.0 at 0
+    return H
 
 
 def _full_matrix(config):
@@ -130,8 +140,9 @@ def build_system(config):
     labels = tuple(f"b{i + 1}" for i in range(m)) \
         + tuple(f"b{i + 1}+" for i in range(m, n - 1)) + ("a+",)
     full_labels = sum(((f"b{i + 1}", f"b{i + 1}+") for i in range(n - 1)), ()) + ("a", "a+")
-    return DynamicalMatrix(reduced=_reduced_matrix(config), full=_full_matrix(config),
-                           mode_order=labels, full_order=full_labels, config=config)
+    return DynamicalMatrix(reduced=_reduced_matrices([config])[0],
+                           full=_full_matrix(config), mode_order=labels,
+                           full_order=full_labels, config=config)
 
 
 def check_symmetries(dm):

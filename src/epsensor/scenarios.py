@@ -19,7 +19,7 @@ worked example of each.
 import json
 import os
 import tempfile
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -207,11 +207,17 @@ def load_scenario(path):
 # ---------------------------------------------------------------------------
 # sweep plumbing
 
+def _with(config, **changes):
+    """`config` with `changes`, validated as any SystemConfig (what
+    dataclasses.replace does, without its per-field bookkeeping)."""
+    return SystemConfig(**{**vars(config), **changes})
+
+
 def _set_entry(name, index):
     def setter(config, value):
         seq = list(getattr(config, name))
         seq[index] = value
-        return replace(config, **{name: tuple(seq)})
+        return _with(config, **{name: tuple(seq)})
     return setter
 
 
@@ -222,9 +228,9 @@ def _sweep_setters(config):
     setters = {f"{name}{i + 1}": _set_entry(name, i)
                for name in ("g", "kappa", "delta", "epsilon")
                for i in range(len(getattr(config, name)))}
-    setters["eps_same"] = lambda c, v: replace(c, epsilon=(v,) * (c.n - 1))
-    setters["gamma"] = lambda c, v: replace(c, gamma=v)
-    setters["Gamma"] = lambda c, v: replace(c, Gamma=v)
+    setters["eps_same"] = lambda c, v: _with(c, epsilon=(v,) * (c.n - 1))
+    setters["gamma"] = lambda c, v: _with(c, gamma=v)
+    setters["Gamma"] = lambda c, v: _with(c, Gamma=v)
     return setters
 
 
@@ -271,15 +277,13 @@ def _run_spectrum_sweep(scn):
     n = scn.system.n
     cols = [scn.sweep_param] + [f"re_lambda{i + 1}" for i in range(n)] \
         + [f"im_lambda{i + 1}" for i in range(n)] + ["phase", "ep_order"]
-    rows = []
-    prev = None
     spectra = eigensolve([config for _, config, _, _ in scn.points])
-    for (value, _, _, _), spectrum in zip(scn.points, spectra):
-        eigs = spectrum.eigenvalues if prev is None \
-            else match_branches(prev, spectrum.eigenvalues)
-        prev = eigs
-        rows.append([value] + [x.real for x in eigs] + [x.imag for x in eigs]
-                    + [spectrum.phase, spectrum.ep_order])
+    eigs = np.array([spectrum.eigenvalues for spectrum in spectra])
+    # each row after the first follows the one before it
+    eigs[1:] = match_branches(eigs[0], eigs[1:])
+    rows = [[value, *re, *im, spectrum.phase, spectrum.ep_order]
+            for (value, _, _, _), re, im, spectrum
+            in zip(scn.points, eigs.real.tolist(), eigs.imag.tolist(), spectra)]
     return cols, rows, {"points": len(rows)}
 
 
@@ -385,12 +389,31 @@ def atomic_write(path, data):
         raise
 
 
+# The format fmt gives each exact type whose text a format string reproduces
+_FORMATS = {float: "{:.17g}", np.float64: "{:.17g}", int: "{}", str: "{}"}
+
+
+def _csv_lines(rows):
+    """Each row as fmt would join it. Rows with the types of the row before
+    reuse its format string, built once per run of types; a row holding a
+    value of another type goes through fmt."""
+    lines, types, template = [], None, None
+    for row in rows:
+        kinds = tuple(map(type, row))
+        if kinds != types:
+            types = kinds
+            formats = [_FORMATS.get(kind) for kind in kinds]
+            template = None if None in formats else ",".join(formats)
+        lines.append(template.format(*row) if template is not None
+                     else ",".join(fmt(v) for v in row))
+    return lines
+
+
 def render_csv(scenario, cols, rows, summary):
     lines = [f"# {key} = {value}" for key, value in _resolved_params(scenario)]
     lines += [f"# summary.{k} = {fmt(v)}" for k, v in summary.items()]
     lines.append(",".join(cols))
-    for row in rows:
-        lines.append(",".join(fmt(v) for v in row))
+    lines += _csv_lines(rows)
     return ("\n".join(lines) + "\n").encode()
 
 

@@ -11,7 +11,8 @@ A sweep solves all its configurations as one stack: each step above runs
 once over the stack, so the per-call Python cost is paid once per sweep,
 and every row comes out bit-identical to its own solve (a single system
 is a stack of one). Steps that only some rows need (cluster collapse, the
-closed cubic form) run per row on those rows alone.
+closed cubic form) run per row on those rows alone. match_branches orders
+a whole sweep's rows in one call the same way.
 
 At an EPn, double-precision root finding scatters the n-fold root over a
 radius ~ eps_machine^(1/n) (about 1e-4 for n=4). Candidate clusters are
@@ -27,7 +28,7 @@ import numpy as np
 
 from .config import (PERTURBATIONS, ConfigurationError, NumericalError,
                      SystemConfig, sensed_magnons)
-from .model import _reduced_matrix, build_system
+from .model import _reduced_matrices, build_system
 
 EPS = np.finfo(float).eps
 ABERTH_TOL = 1e-14           # relative update size at which a root has stalled
@@ -329,7 +330,7 @@ def cubic_discriminant(config):
         D = x ** 3 + y * y
     except OverflowError:
         raise NumericalError("cubic discriminant overflows: matrix scale "
-                             f"{_matrix_scale(_reduced_matrix(config)):.3e}") from None
+                             f"{_matrix_scale(_reduced_matrices([config]))[0]:.3e}") from None
     return CubicDiscriminant(x=float(x), y=float(y), D=float(D))
 
 
@@ -390,7 +391,7 @@ def eigensolve(system, cluster_radius=None):
         if len(sizes) > 1:
             raise ConfigurationError(
                 f"eigensolve needs configurations of one size, got n = {sorted(sizes)}")
-        H = np.array([_reduced_matrix(c) for c in configs])
+        H = _reduced_matrices(configs)
     else:
         H = np.asarray(system, dtype=complex)
         if H.ndim != 2 or H.shape[0] != H.shape[1]:
@@ -567,12 +568,30 @@ def puiseux_fit(config, eps_grid, direction):
 
 def match_branches(reference, eigenvalues):
     """Order eigenvalues to follow the reference (nearest-neighbor greedy
-    assignment); used by sweeps to keep branches continuous."""
+    assignment); used by sweeps to keep branches continuous. Each reference
+    in turn takes the nearest eigenvalue not yet taken, the lowest index on
+    a tie.
+
+    eigenvalues may be a stack (N, n) of a sweep's rows: each row then
+    follows the row before it as matched, the first row the reference (a
+    single row is a stack of one). The distances of all rows are taken at
+    once with np.hypot, which rounds as Python's scalar abs does; only the
+    greedy choice loops, over Python floats."""
     eigenvalues = np.asarray(eigenvalues, dtype=complex)
-    remaining = list(range(len(eigenvalues)))
-    out = np.empty_like(eigenvalues)
-    for i, ref in enumerate(reference):
-        j = min(remaining, key=lambda k: abs(eigenvalues[k] - ref))
-        out[i] = eigenvalues[j]
-        remaining.remove(j)
-    return out
+    rows = eigenvalues.reshape(-1, eigenvalues.shape[-1])
+    before = np.concatenate([np.asarray(reference, dtype=complex)[None], rows[:-1]])
+    d = rows[:, None, :] - before[:, :, None]
+    # per row: the distance of each raw eigenvalue of the row before (the
+    # reference for the first) to each eigenvalue of the row
+    distances = np.hypot(d.real, d.imag).tolist()
+    order, orders = range(rows.shape[1]), []
+    for row in distances:
+        remaining, matched = list(range(len(row))), []
+        for i in order:
+            j = min(remaining, key=row[i].__getitem__)
+            remaining.remove(j)
+            matched.append(j)
+        order = matched
+        orders.append(order)
+    orders = np.array(orders, dtype=int).reshape(rows.shape)
+    return np.take_along_axis(rows, orders, axis=1).reshape(eigenvalues.shape)

@@ -372,6 +372,17 @@ class TestScaling:
         assert fit.excluded == (bad,)
         assert np.array_equal(fit.chis, np.delete(self.GRID, 3))
 
+    @pytest.mark.parametrize("family", ["ep3", "ep3-qfi"])
+    def test_a_non_finite_coupling_is_an_excluded_point(self, family):
+        # above chi = 1 the family's coupling g = sqrt(1 - chi^2) is NaN
+        grid = np.append(self.GRID, 1.5)
+        with np.errstate(invalid="ignore"), pytest.warns(
+                UserWarning, match=r"excluding chi=1\.5: the coupling "
+                r"g = sqrt\(1 - chi\^2\) = nan is not finite"):
+            fit = scaling_fit(family, grid)
+        assert fit.excluded == (1.5,)
+        assert np.array_equal(fit.chis, self.GRID)
+
     def test_unknown_family(self):
         with pytest.raises(ConfigurationError):
             scaling_fit("ep17", self.GRID)

@@ -1,3 +1,6 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,6 +10,7 @@ from epsensor import (ConfigurationError, RegimeError, SystemConfig,
                       ep3_sensor, ep4_locus, ep4_system, observable,
                       perturbed_eigenvalues_analytic, puiseux_fit,
                       susceptibility, susceptibility_derivatives)
+from epsensor.model import _reduced_matrices
 from epsensor.spectral import eigensolve
 
 settings.register_profile("suite", deadline=None, derandomize=True)
@@ -54,6 +58,192 @@ def test_mode_order_labels():
 def test_config_validation_errors(kwargs):
     with pytest.raises(ConfigurationError):
         SystemConfig(**kwargs)
+
+
+def _atleast_1d_fields(n, m, g, kappa=(), delta=(), epsilon=(), alpha=()):
+    """The field normalisation SystemConfig had before it skipped numpy for
+    lists and tuples (a frozen copy): each field through np.atleast_1d, an
+    empty delta, epsilon or alpha zero on every magnon."""
+    g = tuple(float(x) for x in np.atleast_1d(g))
+    kappa = tuple(float(x) for x in np.atleast_1d(kappa))
+    delta = delta if len(np.atleast_1d(delta)) else (0.0,) * (n - 1)
+    epsilon = epsilon if len(np.atleast_1d(epsilon)) else (0.0,) * (n - 1)
+    alpha = alpha if len(np.atleast_1d(alpha)) else (0.0,) * (n - 1)
+    return (g, kappa, tuple(float(x) for x in np.atleast_1d(delta)),
+            tuple(float(x) for x in np.atleast_1d(epsilon)),
+            tuple(complex(x) for x in np.atleast_1d(alpha)))
+
+
+def _fields_or_error(build, **kwargs):
+    """The normalised fields (as repr, so signed zeros and types count) or
+    the type and text of the error `build` raises."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return repr(build(**kwargs))
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+
+
+ACCEPTED_INPUTS = {
+    "scalars": dict(n=2, m=1, g=0.5, delta=-0.0, epsilon=1, alpha=2j),
+    "lists": dict(n=3, m=1, g=[1], kappa=[1.0], delta=[0.1, -0.0], epsilon=[0, 1e-9],
+                  alpha=[1j, -1j]),
+    "tuples": dict(n=4, m=2, g=(1.1, 0.2), kappa=(1.0,), delta=(0.8, 0.03, -0.85),
+                   alpha=(1, 2.5, -3j)),
+    "arrays": dict(n=3, m=2, g=np.array([0.7, 0.3]), delta=np.array([0.0, -0.0]),
+                   epsilon=np.array([1e-6, 2e-6]), alpha=np.array([1j, 2 - 1j])),
+    "numpy scalars": dict(n=2, m=1, g=np.float64(0.9), delta=np.float32(0.1),
+                          epsilon=np.int64(0), alpha=np.complex128(1 + 1j)),
+    "numpy entries": dict(n=3, m=1, g=[np.float32(0.1)], kappa=(np.int64(1),),
+                          delta=[np.float64(0.5), 0.25], alpha=(np.complex64(1j), 0)),
+    "empty defaults": dict(n=5, m=2, g=[1.0, 0.5], kappa=[1.0, 0.25]),
+    "empty arrays": dict(n=3, m=1, g=[1.0], kappa=[1.0], delta=np.array([]),
+                         epsilon=[], alpha=()),
+    "strings": dict(n=2, m=1, g="0.5", delta=["0.25"], alpha=["1+2j"]),
+    "large integers": dict(n=2, m=1, g=[2 ** 70], delta=10 ** 30),
+}
+
+REFUSED_INPUTS = {
+    "g too long": dict(n=3, m=1, g=[1.0, 2.0], kappa=[1.0]),
+    "kappa missing": dict(n=3, m=1, g=[1.0]),
+    "delta too short": dict(n=3, m=1, g=[1.0], kappa=[1.0], delta=[0.1]),
+    "alpha too long": dict(n=2, m=1, g=[1.0], alpha=[1j, 2j]),
+    "a matrix": dict(n=3, m=1, g=[[1.0]], kappa=[1.0]),
+    "a 2-d array": dict(n=3, m=1, g=[1.0], kappa=[1.0], delta=np.zeros((1, 2))),
+    "a complex coupling": dict(n=2, m=1, g=[1 + 0j]),
+    "a complex numpy coupling": dict(n=2, m=1, g=np.complex128(1)),
+    "a word": dict(n=2, m=1, g=["strong"]),
+    "None": dict(n=2, m=1, g=[None]),
+    "ragged": dict(n=3, m=1, g=[1.0], kappa=[1.0], delta=[0.1, [0.2]]),
+}
+
+
+@pytest.mark.parametrize("kwargs", ACCEPTED_INPUTS.values(), ids=ACCEPTED_INPUTS)
+def test_accepted_inputs_normalise_as_numpy_reads_them(kwargs):
+    def build(**kw):
+        cfg = SystemConfig(**kw)
+        return cfg.g, cfg.kappa, cfg.delta, cfg.epsilon, cfg.alpha
+
+    assert _fields_or_error(build, **kwargs) == _fields_or_error(_atleast_1d_fields, **kwargs)
+    assert isinstance(_fields_or_error(build, **kwargs), str)
+
+
+def test_accepted_inputs_pinned():
+    cfg = SystemConfig(**ACCEPTED_INPUTS["scalars"])
+    assert repr((cfg.g, cfg.delta, cfg.epsilon, cfg.alpha)) == "((0.5,), (-0.0,), (1.0,), (2j,))"
+    cfg = SystemConfig(**ACCEPTED_INPUTS["empty defaults"])
+    assert (cfg.delta, cfg.epsilon, cfg.alpha) == ((0.0,) * 4, (0.0,) * 4, (0j,) * 4)
+    assert all(type(x) is complex for x in cfg.alpha)
+    cfg = SystemConfig(**ACCEPTED_INPUTS["numpy entries"])
+    assert cfg.g == (0.10000000149011612,) and type(cfg.kappa[0]) is float
+
+
+@pytest.mark.parametrize("kwargs", REFUSED_INPUTS.values(), ids=REFUSED_INPUTS)
+def test_refused_inputs_raise_as_before(kwargs):
+    def build(**kw):
+        return SystemConfig(**kw)
+
+    def before(**kw):
+        # the length checks, after normalisation, as SystemConfig makes them
+        g, kappa, delta, epsilon, alpha = _atleast_1d_fields(**kw)
+        n, m = kw["n"], kw["m"]
+        if len(g) != m:
+            raise ConfigurationError(f"g must have length m={m}, got {len(g)}")
+        if len(kappa) != n - m - 1:
+            raise ConfigurationError(
+                f"kappa must have length n-m-1={n - m - 1}, got {len(kappa)}")
+        for name, value in (("delta", delta), ("epsilon", epsilon), ("alpha", alpha)):
+            if len(value) != n - 1:
+                raise ConfigurationError(
+                    f"{name} must have length n-1={n - 1}, got {len(value)}")
+        return "accepted"
+
+    error = _fields_or_error(build, **kwargs)
+    assert error == _fields_or_error(before, **kwargs)
+    assert isinstance(error, tuple)
+
+
+NON_FINITE = {
+    "g": dict(g=[math.nan]),
+    "kappa": dict(kappa=[math.inf]),
+    "delta": dict(delta=(math.inf, 0.0)),
+    "epsilon": dict(epsilon=(0.0, -math.inf)),
+    "gamma": dict(gamma=math.nan),
+    "Gamma": dict(Gamma=math.inf),
+    "alpha": dict(alpha=(complex(0.0, math.nan), 0j)),
+}
+
+
+@pytest.mark.parametrize("field", NON_FINITE)
+def test_non_finite_fields_are_refused_by_name(field):
+    kwargs = {**dict(n=3, m=1, g=[0.9], kappa=[1.0]), **NON_FINITE[field]}
+    with pytest.raises(ConfigurationError, match=f"^{field} must be finite"):
+        SystemConfig(**kwargs)
+
+
+def test_non_finite_negative_values_keep_their_sign_error():
+    with pytest.raises(ConfigurationError, match="coupling strengths must be >= 0"):
+        SystemConfig(n=3, m=1, g=[-math.inf], kappa=[1.0])
+    with pytest.raises(ConfigurationError, match="decay rates must be >= 0"):
+        SystemConfig(n=3, m=1, g=[1.0], kappa=[1.0], gamma=-math.inf)
+
+
+def _reduced_matrix(config):
+    """The reduced matrix entry by entry (a frozen copy of the scalar
+    builder the stacked one replaced)."""
+    n, m = config.n, config.m
+    dp = config.detuning_eff
+    h = np.zeros((n, n), dtype=complex)
+    couplings = list(config.g) + list(config.kappa)
+    for i in range(n - 1):
+        sign = 1.0 if i < m else -1.0
+        h[i, i] = sign * dp[i] - 1j * config.Gamma
+        h[i, n - 1] = sign * couplings[i]
+        h[n - 1, i] = -couplings[i]
+    h[n - 1, n - 1] = -1j * config.gamma
+    return h
+
+
+def _random_configs(rng, n, count):
+    """Configurations of size n with mixed m, lossless and lossy, zero and
+    signed-zero detunings and zero couplings."""
+    configs = []
+    for k in range(count):
+        m = int(rng.integers(1, n))
+        zeros = rng.choice([0.0, -0.0], size=(2, n - 1))
+        detunings = np.where(rng.random((2, n - 1)) < 0.5, zeros, rng.normal(size=(2, n - 1)))
+        couplings = np.where(rng.random(n - 1) < 0.2, 0.0, rng.uniform(0, 2, n - 1))
+        lossy = k % 2
+        configs.append(SystemConfig(
+            n=n, m=m, g=couplings[:m], kappa=couplings[m:], delta=detunings[0],
+            epsilon=detunings[1], gamma=lossy * rng.choice([0.0, rng.uniform(0, 0.2)]),
+            Gamma=lossy * rng.choice([0.0, rng.uniform(0, 0.02)])))
+    return configs
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_stacked_reduced_matrices_are_bit_identical(rng, n):
+    configs = _random_configs(rng, n, 40)
+    assert len({c.m for c in configs}) == n - 1 or n == 2
+    assert any(c.lossless for c in configs) and not all(c.lossless for c in configs)
+    stack = _reduced_matrices(configs)
+    assert stack.shape == (len(configs), n, n)
+    for config, h in zip(configs, stack):
+        assert h.tobytes() == _reduced_matrix(config).tobytes()
+        assert build_system(config).reduced.tobytes() == h.tobytes()
+
+
+def test_stacked_reduced_matrices_keep_signed_zeros():
+    config = SystemConfig(n=3, m=1, g=[0.0], kappa=[0.0], delta=(-0.0, 0.0),
+                          epsilon=(-0.0, -0.0))
+    h = _reduced_matrices([config])[0]
+    assert h.tobytes() == _reduced_matrix(config).tobytes()
+    # detunings -0.0 + -0.0 and -(0.0 + -0.0), the last row's -coupling and
+    # -1j * gamma on the cavity are -0.0; -1j * Gamma on a magnon is +0.0j
+    signs = [math.copysign(1.0, x) for x in
+             (h[0, 0].real, h[1, 1].real, h[2, 0].real, h[2, 2].imag, h[0, 0].imag)]
+    assert signs == [-1.0, -1.0, -1.0, -1.0, 1.0]
 
 
 def test_symmetries_lossless_exact():

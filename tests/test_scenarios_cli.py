@@ -329,6 +329,27 @@ def test_cli_reports_an_overflowing_closed_form_as_numerical_error(tmp_path, cap
     assert not (tmp_path / "out" / "demo.csv").exists()
 
 
+# scenarios whose system holds a non-finite value; each ended in "characteristic
+# polynomial overflows: matrix scale nan" (exit 3) after earlier files were written
+NON_FINITE_SYSTEMS = [
+    pytest.param(MINIMAL + "gamma = nan\n", "gamma must be finite", id="spectrum-gamma-nan"),
+    pytest.param("experiment = sensitivity_sweep\nsweep_param = g1\nsweep_grid = 0.9, 0.95\n"
+                 "delta = inf, 0\n", "delta must be finite", id="sensitivity-delta-inf"),
+    pytest.param("experiment = evolve_trace\nsweep_grid = 0, 1\nkappa = nan\n",
+                 "kappa must be finite", id="evolve-kappa-nan"),
+]
+
+
+@pytest.mark.parametrize("text,message", NON_FINITE_SYSTEMS)
+def test_cli_refuses_a_non_finite_system_before_writing(tmp_path, capsys, text, message):
+    good, bad = tmp_path / "a.scn", tmp_path / "b.scn"
+    good.write_text(MINIMAL)
+    bad.write_text(text)
+    assert main(["run", str(good), str(bad), "--out", str(tmp_path / "out")]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_writes_nothing_when_a_later_scenario_is_malformed(tmp_path, capsys):
     good, bad = tmp_path / "a.scn", tmp_path / "b.scn"
     good.write_text(MINIMAL)

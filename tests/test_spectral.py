@@ -390,3 +390,61 @@ def test_match_branches_keeps_continuity():
     shuffled = np.array([0.02 + 1j, 1.01 + 0j, -0.98 + 0j])
     matched = match_branches(ref, shuffled)
     assert np.abs(matched - np.array([1.01, -0.98, 0.02 + 1j])).max() < 0.1
+
+
+def _greedy_match(reference, eigenvalues):
+    """match_branches as a loop over numpy scalars (a frozen copy of the
+    implementation the Python-value one replaced)."""
+    eigenvalues = np.asarray(eigenvalues, dtype=complex)
+    remaining = list(range(len(eigenvalues)))
+    out = np.empty_like(eigenvalues)
+    for i, ref in enumerate(reference):
+        j = min(remaining, key=lambda k: abs(eigenvalues[k] - ref))
+        out[i] = eigenvalues[j]
+        remaining.remove(j)
+    return out
+
+
+def test_match_branches_is_bit_identical_to_the_numpy_scalar_loop(rng):
+    for n in (2, 3, 4, 5):
+        for scale in (1e-12, 1.0, 1e150):
+            for _ in range(200):
+                ref = scale * (rng.normal(size=n) + 1j * rng.normal(size=n))
+                eigs = ref[rng.permutation(n)] \
+                    + scale * rng.choice([0.0, 1e-9, 0.3], size=n) * rng.normal(size=n)
+                assert match_branches(ref, eigs).tobytes() == _greedy_match(ref, eigs).tobytes()
+
+
+@pytest.mark.parametrize("ref, eigs", [
+    # equidistant candidates: the lowest index wins
+    ([0.0, 5.0], [1.0, -1.0]),
+    ([0.0, 0.0], [1j, -1j]),
+    ([0.0, 0.0, 0.0, 0.0], [1j, -1j, -1.0, 1.0]),
+    # repeated eigenvalues and references, e.g. at an exceptional point
+    ([0.5, 0.5, 0.5], [0.5, 0.5, 0.5]),
+    ([1.0, 1.0, -1.0], [1.0 + 0j, -1.0, 1.0 + 0j]),
+    ([0.0, 2.0, 1.0], [1.0, 1.0, 1.0]),
+    # signed zeros compare equal, so the first of them is taken
+    ([0.0, 0.0], [complex(-0.0, 0.0), complex(0.0, -0.0)]),
+    # lattice points whose distances tie after rounding
+    ([0.1 + 0.2j, 0.3 - 0.1j, -0.2 + 0.0j], [0.2 + 0.1j, 0.0 + 0.3j, -0.1 - 0.1j]),
+])
+def test_match_branches_breaks_exact_ties_as_before(ref, eigs):
+    ref, eigs = np.asarray(ref, dtype=complex), np.asarray(eigs, dtype=complex)
+    assert match_branches(ref, eigs).tobytes() == _greedy_match(ref, eigs).tobytes()
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_match_branches_orders_a_sweep_as_its_rows_one_at_a_time(rng, n):
+    # a sweep through crossings: rows drift, are shuffled, and some repeat
+    base = rng.normal(size=n) + 1j * rng.normal(size=n)
+    drift = np.cumsum(0.05 * (rng.normal(size=(80, n)) + 1j * rng.normal(size=(80, n))), axis=0)
+    rows = np.array([(base + d)[rng.permutation(n)] for d in drift])
+    rows[40] = rows[39]
+    matched = match_branches(rows[0], rows[1:])
+    assert matched.shape == (79, n)
+    before = rows[0]
+    for row, got in zip(rows[1:], matched):
+        before = _greedy_match(before, row)
+        assert got.tobytes() == before.tobytes()
+    assert match_branches(rows[0], rows[:0]).shape == (0, n)

@@ -3,8 +3,10 @@
 
     python scripts/compare_outputs.py DIR_A DIR_B
 
-Prints, per file, "identical" or the largest relative difference of the
-numeric tokens. Exit status:
+Prints, per file, "identical" or the largest relative and the largest
+absolute difference of the numeric tokens (a value that is zero in exact
+arithmetic differs by its rounding, which is small in absolute terms but
+can be of order 1 relative). Exit status:
 
     0  every file is on both sides and byte-identical;
     1  a file is missing on one side, or two files differ in anything but
@@ -22,22 +24,25 @@ SEPARATORS = re.compile(r'([\s,;=:\[\]{}()"]+)')
 
 
 def compare(a, b):
-    """Largest relative difference of the numeric tokens of texts a and b
-    (0 where a number is only written differently), or None if they differ
-    anywhere else."""
+    """(largest relative, largest absolute) difference of the numeric tokens
+    of texts a and b (0 where a number is only written differently), or None
+    if they differ anywhere else."""
     ta, tb = SEPARATORS.split(a), SEPARATORS.split(b)
     if len(ta) != len(tb) or ta[1::2] != tb[1::2]:
         return None
-    worst = 0.0
+    worst = largest = 0.0
     for x, y in ((x, y) for x, y in zip(ta[::2], tb[::2]) if x != y):
         try:
             u, v = complex(x), complex(y)
         except ValueError:
             return None
         if u != v and not (cmath.isnan(u) and cmath.isnan(v)):
-            finite = cmath.isfinite(u) and cmath.isfinite(v)
-            worst = max(worst, abs(u - v) / max(abs(u), abs(v)) if finite else math.inf)
-    return worst
+            if cmath.isfinite(u) and cmath.isfinite(v):
+                worst = max(worst, abs(u - v) / max(abs(u), abs(v)))
+                largest = max(largest, abs(u - v))
+            else:
+                worst = largest = math.inf
+    return worst, largest
 
 
 def main(dir_a, dir_b):
@@ -53,12 +58,13 @@ def main(dir_a, dir_b):
         if a.read_bytes() == b.read_bytes():
             print(f"{name}: identical")
             continue
-        worst = compare(a.read_text(), b.read_text())
-        if worst is None:
+        differences = compare(a.read_text(), b.read_text())
+        if differences is None:
             print(f"{name}: non-numeric tokens differ")
             status = 1
         else:
-            print(f"{name}: largest relative difference {worst:.3g}")
+            print("{}: largest relative difference {:.3g}, "
+                  "largest absolute difference {:.3g}".format(name, *differences))
             status = status or 2
     return status
 

@@ -101,10 +101,9 @@ def criterion_3_reducible_counterexample():
     eps = 0.01
     gstar = float(np.sqrt(1.0 + eps * eps / 4.0))  # exact two-fold point
     grid = list(np.linspace(0.8, 1.2, 41)) + [gstar]
-    orders = []
-    for g in grid:
-        cfg = SystemConfig(n=3, m=1, g=[g], kappa=[1.0], epsilon=(eps, -eps))
-        orders.append(eigensolve(cfg, cluster_radius=1e-4).ep_order)
+    spectra = eigensolve([SystemConfig(n=3, m=1, g=[g], kappa=[1.0], epsilon=(eps, -eps))
+                          for g in grid], cluster_radius=1e-4)
+    orders = [s.ep_order for s in spectra]
     res.add("max detected order over sweep", max(orders), "<= 2", max(orders) <= 2)
     res.add("order at the coalescence point", orders[-1], "= 2", orders[-1] == 2)
     return res

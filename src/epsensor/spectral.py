@@ -4,15 +4,16 @@ The matrices are tiny (n <= ~8) but defective at exceptional points, where
 QR-based eigenvector extraction degrades. Eigenvalues are therefore taken
 from the characteristic polynomial (Faddeev-LeVerrier coefficients; Aberth
 simultaneous iteration started from the companion-matrix eigenvalues, which
-polishes them and decides which are accepted), eigenvectors from the
+polishes them and decides which are accepted; the roots of a real
+polynomial are made exact conjugate pairs), eigenvectors from the
 near-null space of H - lambda I (one SVD over all eigenvalues).
 
 A sweep solves all its configurations as one stack: each step above runs
 once over the stack, so the per-call Python cost is paid once per sweep,
 and every row comes out bit-identical to its own solve (a single system
-is a stack of one). Steps that only some rows need (cluster collapse, the
-closed cubic form) run per row on those rows alone. match_branches orders
-a whole sweep's rows in one call the same way.
+is a stack of one). The cluster collapse, which only some rows need,
+runs per row on those rows alone. match_branches orders a whole sweep's
+rows in one call the same way.
 
 At an EPn, double-precision root finding scatters the n-fold root over a
 radius ~ eps_machine^(1/n) (about 1e-4 for n=4). Candidate clusters are
@@ -270,7 +271,7 @@ def collapse_multiple_roots(roots, coeffs, scale):
 
 
 # ---------------------------------------------------------------------------
-# analytic cubic path (three-mode system, lossless, kappa-normalized)
+# closed cubic form (three-mode system, lossless, kappa-normalized)
 
 def _cubic_xy(g, d1p, d2p):
     """Depressed-cubic coefficients of the eigenvalue equation; the
@@ -285,7 +286,8 @@ def _cubic_xy(g, d1p, d2p):
 def cardano_eigenvalues(g, d1p, d2p):
     """Eigenvalues of the lossless three-mode matrix in units of kappa, from
     the closed cubic solution. Returned in the solution's natural branch
-    order (not sorted)."""
+    order (not sorted). The residue-form propagator coefficients use it;
+    eigensolve does not (Aberth decides every row there)."""
     x, y = _cubic_xy(g, d1p, d2p)
     s = np.sqrt(complex(x ** 3 + y * y))
     tp, tm = y + s, y - s
@@ -355,6 +357,30 @@ def _close_pairs(roots, radius):
     return near.sum(axis=(1, 2)) - roots.shape[1]
 
 
+def _finite_rows(values, what, scale):
+    """values, unless a row of them is not finite: then NumericalError naming
+    that row's matrix scale and, in a stack of several, the row."""
+    finite = np.isfinite(values).all(axis=1)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise NumericalError(f"{what} overflows: matrix scale {scale[i]:.3e}"
+                             + _in_stack(i, len(values)))
+    return values
+
+
+def _pair_conjugates(roots, coeffs):
+    """In place, on each row of a root stack whose polynomial is real: each
+    root averaged with the conjugate of the root nearest its conjugate, so
+    the row's conjugate pairs are exact and its real roots real. Branch
+    matching then meets an exact tie where a real root turns into a pair,
+    and breaks it by index, not by rounding."""
+    real = (coeffs.imag == 0).all(axis=1)
+    if real.any():
+        r = roots[real]
+        partner = np.abs(r[:, :, None] - r[:, None, :].conj()).argmin(axis=2)
+        roots[real] = (r + np.take_along_axis(r, partner, axis=1).conj()) / 2
+
+
 def _collapse_rows(roots, coeffs, scale):
     """collapse_multiple_roots, in place, on each row of a root stack that
     holds a pair of roots within its detect radius (on any other row it
@@ -373,13 +399,11 @@ def eigensolve(system, cluster_radius=None):
     Spectrum per configuration. Every call solves a stack (a single system
     is a stack of one): one characteristic-polynomial recursion, one Aberth
     iteration and one SVD for all rows, each row bit-identical to its own
-    solve. For the lossless three-mode system the closed cubic solution is
-    used and cross-checked against the polynomial solver; the general path
-    covers everything else. Eigenvalues are sorted by (Re, Im) so that
-    parameter sweeps produce continuous branches, real parts within
-    STABILITY_TOL * scale counting as equal (a conjugate pair comes out
-    Im < 0 first, whatever the rounding). A NumericalError raised for a
-    stack of several names the failing configuration's index.
+    solve. Eigenvalues are sorted by (Re, Im) so that parameter sweeps
+    produce continuous branches, real parts within STABILITY_TOL * scale
+    counting as equal (a conjugate pair comes out Im < 0 first, whatever
+    the rounding). A NumericalError raised for a stack of several names the
+    failing configuration's index.
     """
     stacked = isinstance(system, (list, tuple)) and \
         all(isinstance(c, SystemConfig) for c in system)
@@ -398,43 +422,17 @@ def eigensolve(system, cluster_radius=None):
             raise ConfigurationError("eigensolve needs a square matrix")
         if not np.isfinite(H).all():
             raise ConfigurationError("eigensolve needs a finite matrix")
-        configs, H = [None], H[None]
+        H = H[None]
 
-    count, n = len(configs), H.shape[-1]
+    count, n = len(H), H.shape[-1]
     scale = _matrix_scale(H)
-    with np.errstate(over="ignore", invalid="ignore"):
-        coeffs = char_poly(H)
-    if not np.isfinite(coeffs).all():
-        i = int(np.argmin(np.isfinite(coeffs).all(axis=1)))
-        raise NumericalError("characteristic polynomial overflows: "
-                             f"matrix scale {scale[i]:.3e}" + _in_stack(i, count))
-    roots = aberth_roots(coeffs)
+    # a Horner pass may overflow on a row whose roots still come out finite
+    # and pass the backward test; a row whose roots do not is refused
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        coeffs = _finite_rows(char_poly(H), "characteristic polynomial", scale)
+        roots = _finite_rows(aberth_roots(coeffs), "root iteration", scale)
     paired = _collapse_rows(roots, coeffs, scale)
-
-    cubic = np.array([i for i, c in enumerate(configs)
-                      if c is not None and (c.n, c.m) == (3, 1) and c.lossless], dtype=int)
-    if cubic.size:
-        analytic = []
-        for i in cubic:
-            k = configs[i].kappa[0]
-            d1p, d2p = (d / k for d in configs[i].detuning_eff)
-            try:
-                analytic.append(k * cardano_eigenvalues(configs[i].g[0] / k, d1p, d2p))
-            except OverflowError:
-                raise NumericalError("closed-form cubic overflows: matrix scale "
-                                     f"{scale[i]:.3e}" + _in_stack(i, count)) from None
-        analytic = np.array(analytic)
-        paired[cubic] = _collapse_rows(analytic, coeffs[cubic], scale[cubic])
-        # near (not at) coalescence both routes carry ~eps^(1/multiplicity)
-        # root fuzz, so this guard is looser than simple-root accuracy; a
-        # non-finite closed form fails it
-        distance = _set_distance(analytic, roots[cubic])
-        agree = distance <= 1e-6 * scale[cubic]
-        if not agree.all():
-            r = int(np.argmin(agree))
-            raise NumericalError("analytic cubic and polynomial eigenvalues disagree: "
-                                 f"{distance[r]:.3e}" + _in_stack(cubic[r], count))
-        roots[cubic] = analytic
+    _pair_conjugates(roots, coeffs)
     tol = STABILITY_TOL * scale
     rows = np.arange(count)[:, None]
     roots = roots[rows, np.argsort(roots.real, axis=1)]
@@ -457,12 +455,6 @@ def eigensolve(system, cluster_radius=None):
                         phase="exceptional" if order >= 2 else "stable" if st else "unstable")
                for r, v, order, st in zip(roots, right, ep_order.tolist(), stable.tolist())]
     return spectra if stacked else spectra[0]
-
-
-def _set_distance(a, b):
-    """Per row of two stacks: max over a of the distance to the nearest
-    element of b (NaN if either holds a NaN)."""
-    return np.abs(b[:, None, :] - a[:, :, None]).min(axis=2).max(axis=1)
 
 
 def eigenvector_residuals(H, spectrum):

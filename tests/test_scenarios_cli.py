@@ -321,11 +321,12 @@ def test_cli_reports_an_overflowing_spectrum_as_numerical_error(tmp_path, capsys
     assert not (tmp_path / "out" / "demo.csv").exists()
 
 
-def test_cli_reports_an_overflowing_closed_form_as_numerical_error(tmp_path, capsys):
+def test_cli_reports_an_overflowing_root_iteration_as_numerical_error(tmp_path, capsys):
     scn_path = tmp_path / "big.scn"
-    scn_path.write_text(MINIMAL.replace("linspace:0.9:1.1:5", "1e80, 1e90"))
+    scn_path.write_text(MINIMAL.replace("n = 3\nm = 1\ng = 1.0", "n = 4\nm = 2\ng = 1.0, 0.2")
+                        .replace("linspace:0.9:1.1:5", "1e80, 1e90"))
     assert main(["run", str(scn_path), "--out", str(tmp_path / "out")]) == 3
-    assert "matrix scale 1.000e+80" in capsys.readouterr().err
+    assert "root iteration overflows: matrix scale 1.000e+80" in capsys.readouterr().err
     assert not (tmp_path / "out" / "demo.csv").exists()
 
 

@@ -34,8 +34,10 @@ def test_compare_outputs_reports_each_file(tmp_path):
     out = _compare(a, b)
     assert out.returncode == 2
     assert "same.csv: identical" in out.stdout
-    close = re.search(r"close\.csv: largest relative difference (\S+)", out.stdout)
+    close = re.search(r"close\.csv: largest relative difference (\S+), "
+                      r"largest absolute difference (\S+)\n", out.stdout)
     assert float(close.group(1)) == pytest.approx(1e-10, rel=1e-2)
+    assert float(close.group(2)) == pytest.approx(1e-13, rel=1e-2)
     (b / "same.csv").write_text("# name = y\nt,v\n1,2.5\n")
     (a / "only_a.csv").write_text("t\n")
     out = _compare(a, b)

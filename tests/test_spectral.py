@@ -107,14 +107,17 @@ class TestEigensolve:
         with pytest.raises(NumericalError, match="matrix scale 1.000e\\+200"):
             eigensolve(ep3_sensor(1e200))
 
-    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
-    def test_non_finite_closed_form_fails_the_cross_check(self):
-        # Cardano's cube roots overflow to NaN here while the polynomial
-        # solver stays finite
-        cfg = SystemConfig(n=3, m=1, g=(8e51,), kappa=(1.0,), delta=(3.3e51, 1.05e52))
-        assert np.isnan(cardano_eigenvalues(8e51, 3.3e51, 1.05e52)).all()
-        with pytest.raises(NumericalError, match="disagree: nan"):
-            eigensolve(cfg)
+    @pytest.mark.filterwarnings("error")
+    def test_huge_couplings_solve_near_mpmath(self):
+        # rows whose Horner pass overflows, and which still come out finite
+        # and pass Aberth's backward test, keep their answer without a warning
+        for cfg in (SystemConfig(n=3, m=1, g=(8e51,), kappa=(1.0,), delta=(3.3e51, 1.05e52)),
+                    ep3_sensor(1e80), ep3_sensor(1e90), ep3_sensor(1e102),
+                    ep3_sensor(1e110, gamma=0.1)):
+            H = build_system(cfg).reduced
+            scale = float(np.abs(H).max())
+            assert match_error(eigensolve(cfg).eigenvalues,
+                               _mpmath_eigenvalues(H)) <= 1e-14 * scale
 
     def test_equal_real_parts_are_ordered_by_imaginary_part(self):
         # two conjugate pairs whose real parts agree only to rounding
@@ -251,8 +254,24 @@ class TestStackedEigensolve:
         # lossless delta = 0 rows have a constant coefficient of exactly 0
         constants = [char_poly(build_system(c).reduced)[-1] for c in kinds["delta_0_lossless"]]
         assert 0 < sum(x == 0 for x in constants) < len(constants)
-        # a gamma sweep from 0 mixes closed-form rows with general rows
+        # a gamma sweep from 0 mixes lossless rows with lossy rows
         assert kinds["gamma_from_0"][0].lossless and not kinds["gamma_from_0"][1].lossless
+
+    @pytest.mark.parametrize("kind", ["ep3", "ep4_locus", "discriminant", "delta_0_lossless"])
+    def test_real_polynomials_give_exact_conjugate_pairs(self, rng, kind):
+        def ordered(values):
+            return sorted(values.tolist(), key=lambda z: (z.real, z.imag))
+        for spectrum in eigensolve(_stack_kinds(rng)[kind]):
+            assert ordered(spectrum.eigenvalues) == ordered(spectrum.eigenvalues.conj())
+
+    def test_branches_leaving_the_ep3_break_the_tie_by_index(self):
+        # past g = 1 the real branch at 0 meets the emerging conjugate pair at
+        # equal distances; the lower index, the Im < 0 member, takes the tie
+        grid = np.linspace(0.8, 1.2, 201)
+        eigs = np.array([s.eigenvalues for s in eigensolve([ep3_sensor(g) for g in grid])])
+        eigs[1:] = match_branches(eigs[0], eigs[1:])
+        above = eigs[grid > 1.0]
+        assert (above[:, 1].imag < 0).all() and (above[:, 2].imag > 0).all()
 
     def test_polynomial_layers_take_stack_axes(self, rng):
         H = np.array([build_system(c).reduced for c in _stack_kinds(rng)["ep3_lossy"]])
@@ -271,13 +290,15 @@ class TestStackedEigensolve:
         with pytest.raises(ConfigurationError, match="one size"):
             eigensolve([ep3_sensor(0.9), ep4_system(0.2)])
 
+    @pytest.mark.filterwarnings("error")
     def test_overflowing_row_is_named(self):
         with pytest.raises(NumericalError,
                            match=r"matrix scale 1\.000e\+200 \(configuration 1 of 3\)"):
             eigensolve([ep3_sensor(0.9), ep3_sensor(1e200), ep3_sensor(1.1)])
-        with pytest.raises(NumericalError, match=r"closed-form cubic overflows: "
+        with pytest.raises(NumericalError, match=r"root iteration overflows: "
                            r"matrix scale 1\.000e\+80 \(configuration 1 of 2\)"):
-            eigensolve([ep3_sensor(0.9), ep3_sensor(1e80)])
+            eigensolve([SystemConfig(n=4, m=2, g=(g1, 0.2), kappa=(1.0,))
+                        for g1 in (0.9, 1e80)])
 
 
 class TestDiscriminant:

@@ -137,17 +137,132 @@ def operator_to_quadrature(K, kinds):
 
 
 COND_SWITCH = 1e8
-# a sensitivity row, or one time of a QFI trace, asks for at most 5 distinct
-# configurations (the configured one and its +-h for two steps): keep 5
-MEMO_SIZE = 5
+# a sensitivity row, or one time of a QFI trace, asks for at most 3 distinct
+# configurations (the configured one and its +-_qfi_step of metrology): keep 3
+MEMO_SIZE = 3
+
+
+@dataclass(frozen=True, eq=False)
+class _Decomposition:
+    """What one configuration's affine Gaussian maps need, computed once:
+    the branch taken ("eigen" or "expm"), cond(V) of the reduced
+    eigenvectors, the largest growth rate (for overflow messages) and the
+    reduced-basis slot kinds; on the eigen branch V, V^-1, the eigenvalues
+    lam and, for a lossy configuration, the diffusion Q(t); on the expm
+    branch the Van Loan block [[-A, D], [0, A^T]] of the quadrature drift A.
+    """
+
+    method: str
+    cond: float
+    growth: str
+    kinds: tuple
+    V: np.ndarray = None
+    Vinv: np.ndarray = None
+    lam: np.ndarray = None
+    diffusion: object = None
+    block: np.ndarray = None
+
+    def at(self, t):
+        """The Propagator over time t; NumericalError naming the largest
+        growth rate when S or Q is not finite."""
+        if self.method == "expm":
+            m = len(self.block) // 2
+            k = _squarings(self.block, t)
+            F = _expm(self.block * (t / 2.0 ** k))
+            S = F[m:, m:].T
+            Q = S @ F[:m, m:]
+            for _ in range(k):
+                Q = Q + S @ Q @ S.T
+                S = S @ S
+        else:
+            K = self.V @ np.diag(np.exp(-1j * self.lam * t)) @ self.Vinv
+            S = operator_to_quadrature(K, self.kinds)
+            Q = np.zeros_like(S) if self.diffusion is None else self.diffusion(t)
+        return self._finite(Propagator(S_quad=S, Q=Q, t=float(t), method=self.method,
+                                       condition_number=self.cond))
+
+    def reduced_maps(self, times):
+        """Eigen branch: the reduced-basis maps K(t) = V e^{-i lam t} V^-1 at
+        every time of `times`, stacked (len(times), n, n) in one einsum;
+        NumericalError naming the largest growth rate when one is not finite."""
+        times = np.asarray(times, dtype=float)
+        K = np.einsum("ij,tj,jk->tik", self.V, np.exp(-1j * np.multiply.outer(times, self.lam)),
+                      self.Vinv)
+        bad = ~np.isfinite(K).all(axis=(1, 2))
+        if bad.any():
+            raise NumericalError(f"eigen propagator not finite at t = {times[bad.argmax()]:.6g}: "
+                                 f"largest growth rate {self.growth}")
+        return K
+
+    def derivative(self, t, dH):
+        """dS(t)/d(eps), the exact derivative of the quadrature map S(t) when
+        the reduced matrix H moves along dH (H -> H + eps dH).
+
+        Eigen branch: dK = V (F o (V^-1 dH V)) V^-1 with F_ij the divided
+        difference of e^{-i lam t} over lam_i, lam_j, written
+        e^{-i lam_j t} (-i t) expm1(z)/z with z = -i (lam_i - lam_j) t, whose
+        confluent limit z = 0 is -i t e^{-i lam_j t} (Daleckii-Krein; Higham,
+        Functions of Matrices, SIAM 2008, sec. 3.2). Expm branch: the
+        top-right block L of expm([[A t, E t], [0, A t]]) = [[S, L], [0, S]]
+        with E the quadrature form of -i dH (Najfeld & Havel, Adv. Appl.
+        Math. 16:321, 1995), taken at t / 2^k like at(t) and doubled k times:
+        L(2 tau) = S L + L S, S(2 tau) = S^2, which at long times near the
+        EP is closer to mpmath than one expm of the block at t (9.6e-6
+        against 3.2e-4 relative at g = 1 - 1e-9, t = 1000).
+        Raises NumericalError when the result is not finite."""
+        if self.method == "expm":
+            m = len(self.block) // 2
+            A = -self.block[:m, :m]
+            E = operator_to_quadrature(-1j * dH, self.kinds)
+            X = np.block([[A, E], [np.zeros_like(A), A]])
+            k = _squarings(X, t)
+            F = _expm(X * (t / 2.0 ** k))
+            S, dS = F[:m, :m], F[:m, m:]
+            for _ in range(k):
+                dS = S @ dS + dS @ S
+                S = S @ S
+        else:
+            z = -1j * t * np.subtract.outer(self.lam, self.lam)
+            ratio = np.ones(z.shape, dtype=complex)
+            nz = z != 0
+            ratio[nz] = np.expm1(z[nz]) / z[nz]
+            F = np.exp(-1j * self.lam * t)[None, :] * (-1j * t) * ratio
+            dK = self.V @ (F * (self.Vinv @ dH @ self.V)) @ self.Vinv
+            dS = operator_to_quadrature(dK, self.kinds)
+        if not np.isfinite(dS).all():
+            raise NumericalError(f"{self.method} map derivative not finite at t = {t:.6g}: "
+                                 f"largest growth rate {self.growth}")
+        return dS
+
+    def _finite(self, prop):
+        """prop, or NumericalError naming the largest growth rate if its S or
+        Q is not finite (the realness check of operator_to_quadrature lets
+        NaN through)."""
+        if not (np.isfinite(prop.S_quad).all() and np.isfinite(prop.Q).all()):
+            raise NumericalError(f"{prop.method} propagator not finite at t = {prop.t:.6g}: "
+                                 f"largest growth rate {self.growth}")
+        return prop
+
+
+def _squarings(X, t):
+    """The k with ||X||_1 t / 2^k <= 1 (0 when ||X||_1 t <= 1)."""
+    norm = float(np.abs(X).sum(axis=0).max())
+    return int(np.ceil(np.log2(norm * t))) if norm * t > 1.0 else 0
+
+
+def _expm(X):
+    # imported here: scipy.linalg costs more to import than numpy, and only
+    # nearly defective spectra need it
+    from scipy.linalg import expm
+    return expm(X)
 
 
 @functools.lru_cache(maxsize=MEMO_SIZE)
 def _decompose(config):
-    """Exact affine Gaussian maps of one configuration: returns at(t), the
-    Propagator over time t, with the quadrature map S(t) = exp(A t) of the
-    drift A and the diffusion covariance Q(t) = int_0^t S(s) D S(s)^T ds of a
-    lossy configuration.
+    """The _Decomposition of one configuration, memoized on the frozen
+    config: at(t) gives the quadrature map S(t) = exp(A t) of the drift A
+    and the diffusion covariance Q(t) = int_0^t S(s) D S(s)^T ds of a lossy
+    configuration.
 
     Uses the eigen-decomposition K = V diag(e^{-i lambda t}) V^-1 of the
     reduced matrix when V is well enough conditioned (cond(V) < COND_SWITCH).
@@ -160,63 +275,27 @@ def _decompose(config):
 
     Everything that depends on the configuration alone (the spectrum, V^-1
     and the diffusion in the drift eigenbasis, or the Van Loan block) is
-    computed once per configuration and memoized on the frozen config; at(t)
-    does only the work that depends on t, and shares what it closes over.
-    at(t) raises NumericalError naming the largest growth rate when S or Q
-    is not finite, as when the map overflows on an unstable configuration.
+    computed here once; at(t) does only the work that depends on t.
     """
     spec = eigensolve(config)
     V = spec.right_vectors
     cond = float(np.linalg.cond(V))
     growth = f"max Re(-i lambda) = {(-1j * spec.eigenvalues).real.max():.6g}"
-    if cond >= COND_SWITCH:
-        # imported here: scipy.linalg costs more to import than numpy, and
-        # only nearly defective spectra need it
-        from scipy.linalg import expm
-        A, D = drift_and_diffusion(config)
-        m = len(A)
-        block = np.block([[-A, D], [np.zeros_like(A), A.T]])
-        norm = float(np.abs(block).sum(axis=0).max())
-
-        def at(t):
-            k = int(np.ceil(np.log2(norm * t))) if norm * t > 1.0 else 0
-            F = expm(block * (t / 2.0 ** k))
-            S = F[m:, m:].T
-            Q = S @ F[:m, m:]
-            for _ in range(k):
-                Q = Q + S @ Q @ S.T
-                S = S @ S
-            return _finite(Propagator(S_quad=S, Q=Q, t=float(t), method="expm",
-                                      condition_number=cond), growth)
-        return at
-
     kinds = reduced_mode_kinds(config)
+    if cond >= COND_SWITCH:
+        A, D = drift_and_diffusion(config)
+        block = np.block([[-A, D], [np.zeros_like(A), A.T]])
+        return _Decomposition("expm", cond, growth, kinds, block=block)
     Vinv = np.linalg.inv(V)
     lam = spec.eigenvalues
     diffusion = None if config.lossless else _eigen_diffusion(config, kinds, V, Vinv, lam)
-
-    def at(t):
-        K = V @ np.diag(np.exp(-1j * lam * t)) @ Vinv
-        S = operator_to_quadrature(K, kinds)
-        Q = np.zeros_like(S) if diffusion is None else diffusion(t)
-        return _finite(Propagator(S_quad=S, Q=Q, t=float(t), method="eigen",
-                                  condition_number=cond), growth)
-    return at
-
-
-def _finite(prop, growth):
-    """prop, or NumericalError naming the largest growth rate if its S or Q
-    is not finite (the realness check of operator_to_quadrature lets NaN
-    through)."""
-    if not (np.isfinite(prop.S_quad).all() and np.isfinite(prop.Q).all()):
-        raise NumericalError(f"{prop.method} propagator not finite at t = {prop.t:.6g}: "
-                             f"largest growth rate {growth}")
-    return prop
+    return _Decomposition("eigen", cond, growth, kinds, V=V, Vinv=Vinv, lam=lam,
+                          diffusion=diffusion)
 
 
 def propagator(config, t):
     """The Propagator of config over time t; see `_decompose` (memoized)."""
-    return _decompose(config)(t)
+    return _decompose(config).at(t)
 
 
 def _eigen_diffusion(config, kinds, V, Vinv, eigenvalues):

@@ -23,9 +23,9 @@ import numpy as np
 
 from .config import (ConfigurationError, NumericalError, RegimeError,
                      collective_rate, ep3_sensor, ep4_system)
-from .gaussian import (apply_external_loss, coherent_init, evolve, propagator,
-                       evolve_lossy_trace, total_excitation)
-from .model import ep4_locus
+from .gaussian import (_decompose, apply_external_loss, coherent_init, evolve,
+                       propagator, evolve_lossy_trace, total_excitation)
+from .model import build_system, ep4_locus
 from .perturb import regime_ok, susceptibility_derivatives
 from .spectral import _log_fit, eigensolve
 
@@ -126,13 +126,14 @@ def working_point_time(config, q=1):
 def _final_state(config, t, eta=None):
     state = evolve(coherent_init(config), propagator(config, t))
     if eta is not None:
-        n = config.n
-        per_mode = [eta] * (n - 1) + [1.0]   # losses act on the measured magnons
-        state = apply_external_loss(state, per_mode)
+        state = apply_external_loss(state, _readout_transmissivities(config, eta))
     return state
 
 
-FD_STEP = 1e-9          # central-difference step of the fd susceptibility
+def _readout_transmissivities(config, eta):
+    """Per mode: the readout loss eta acts on the measured magnons, not on
+    the cavity."""
+    return [eta] * (config.n - 1) + [1.0]
 
 
 def _state_derivative(config, t, h, mode="same", eta=None):
@@ -144,12 +145,27 @@ def _state_derivative(config, t, h, mode="same", eta=None):
     return (plus.mu - minus.mu) / (2.0 * h), (plus.cov - minus.cov) / (2.0 * h)
 
 
+def _mean_derivative(config, t, mode="same", eta=None):
+    """d mu/d(eps) of the evolved state (after the readout loss eta when
+    given), exact, about the configured state: the derivative of the map
+    S(t) along dH, the exact difference of the reduced matrices at
+    epsilon +-1 along the sensed direction `mode` (config.PERTURBATIONS),
+    applied to the initial mean; the readout loss scales the magnon means by
+    sqrt(eta), which is linear."""
+    dH = (build_system(config.shifted(1.0, mode)).reduced
+          - build_system(config.shifted(-1.0, mode)).reduced) / 2.0
+    dmu = _decompose(config).derivative(t, dH) @ coherent_init(config).mu
+    if eta is not None:
+        dmu = np.repeat(np.sqrt(_readout_transmissivities(config, eta)), 2) * dmu
+    return dmu
+
+
 def susceptibility(config, obs, t, mode="same", eta=None):
-    """|d<O>/d(eps)| at the configured perturbation offset: a central finite
-    difference with step FD_STEP on the exact Gaussian evolution (with decay
-    and diffusion when decay rates are nonzero)."""
-    dmu, _ = _state_derivative(config, t, FD_STEP, mode, eta)
-    return abs(float(obs.coefficients @ dmu))
+    """|d<O>/d(eps)| at the configured perturbation offset: the exact
+    eps-derivative of the mean of the Gaussian evolution (with decay and
+    diffusion when decay rates are nonzero), from the decomposition of the
+    configured state alone (see `gaussian._Decomposition.derivative`)."""
+    return abs(float(obs.coefficients @ _mean_derivative(config, t, mode, eta)))
 
 
 def _sensor_shape(config):
@@ -262,11 +278,35 @@ def sql(n_total, t):
 
 def peak_total_excitation(config, t, samples=256):
     """Peak total excitation over [0, t], sampled on a fixed uniform grid
-    (the documented N convention for SQL comparisons)."""
+    (the documented N convention for SQL comparisons).
+
+    A lossless configuration on the eigen branch takes every sample in one
+    stacked pass (`_lossless_total_excitations`); a lossy or nearly
+    defective one evolves the state to each sample time."""
     times = np.linspace(0.0, t, samples + 1)[1:]
     state0 = coherent_init(config)
-    states = [state0] + evolve_lossy_trace(state0, config, times)
-    return max(total_excitation(s) for s in states)
+    dec = _decompose(config)
+    if config.lossless and dec.method == "eigen":
+        values = _lossless_total_excitations(config, dec, times)
+    else:
+        values = [total_excitation(s) for s in evolve_lossy_trace(state0, config, times)]
+    return max(total_excitation(state0), *values)
+
+
+def _lossless_total_excitations(config, dec, times):
+    """Total excitation of the lossless evolved state at each of `times`,
+    from the stacked reduced-basis maps K(t) of the decomposition `dec`: the
+    means are K c0 with c0 the initial amplitudes on the reduced slots
+    (conjugated on creation-operator slots, the cavity empty), and each
+    slot's vacuum part is the sum of |K_ij|^2 over the slots j of the other
+    kind (annihilation versus creation operator)."""
+    K = dec.reduced_maps(times)
+    alpha = list(config.alpha) + [0.0]
+    dagger = np.array([dag for _, dag in dec.kinds])
+    c0 = np.array([np.conj(alpha[mode]) if dag else alpha[mode] for mode, dag in dec.kinds])
+    coherent = (np.abs(K @ c0) ** 2).sum(axis=1)
+    vacuum = (np.abs(K) ** 2)[:, dagger[:, None] != dagger[None, :]].sum(axis=1)
+    return (coherent + vacuum).tolist()
 
 
 def db_ratio(reference, value):
@@ -403,7 +443,7 @@ def _ep4_point(chi_target):
     if chi_eff <= 0:
         raise ConfigurationError("degenerate spectrum: no oscillation scale")
     t = 2.0 * np.pi * SCALING_Q / chi_eff
-    dmu, _ = _state_derivative(base, t, FD_STEP)
+    dmu = _mean_derivative(base, t)
     response = float(np.linalg.norm(dmu[: 2 * (base.n - 1)]))
     return chi_eff, float(np.sqrt((base.n - 1) / 2.0) / response)
 

@@ -129,7 +129,8 @@ def aberth_roots(coeffs):
     coeffs may carry leading stack axes (..., n + 1), and the roots then
     carry the same axes (..., n). Every row iterates as if alone: an
     accepted root takes step 0, and a row whose roots are all accepted
-    leaves the iteration with them.
+    leaves the iteration with them, as does a row with a non-finite iterate
+    (Horner overflow), whose roots are then returned as they are.
     Raises NumericalError with diagnostics on genuine non-convergence.
     """
     coeffs = np.asarray(coeffs, dtype=complex)
@@ -152,12 +153,14 @@ def aberth_roots(coeffs):
             p = p * zl + cl[:, j, None]
             floors = floors * az + al[:, j, None]
         done = done | (np.abs(p) <= 8.0 * n * EPS * np.maximum(floors, EPS))
-        if done.all():
+        go = ~done.all(axis=1) & np.isfinite(zl).all(axis=1)
+        if not go.any():
             z[live] = zl
             return z.reshape(shape + (n,))
-        go = ~done.all(axis=1)
         if not go.all():
-            # a row whose roots are all accepted leaves with its iterates
+            # a row whose roots are all accepted leaves with its iterates, and
+            # so does a row whose iterates are no longer finite: no step can
+            # make them finite again
             z[live[~go]] = zl[~go]
             live, zl, done, cl, al, sl, p, dp, floors = (
                 a[go] for a in (live, zl, done, cl, al, sl, p, dp, floors))

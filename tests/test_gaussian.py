@@ -14,7 +14,7 @@ from epsensor import (ConfigurationError, GaussianState, NumericalError,
                       evolve, evolve_lossy, excitation_numbers, propagator,
                       readout_swap, symplectic_form, total_excitation,
                       two_mode_squeezer_coefficients, vacuum_state)
-from epsensor import gaussian
+from epsensor import ep4_locus, ep4_system, gaussian, metrology
 from epsensor.gaussian import (drift_and_diffusion, evolve_lossy_trace,
                                two_mode_quadrature_map)
 from epsensor.metrology import (noise_variance, peak_total_excitation, qfi,
@@ -285,9 +285,9 @@ class TestDecomposeOnce:
         ep3_sensor(0.95, alpha=2.0, gamma=0.1, Gamma=0.01),
     ], ids=["lossless", "lossy"])
     def test_a_sensitivity_row_decomposes_each_configuration_once(self, calls, cfg):
-        # the configured state, +-FD_STEP and +-_qfi_step
+        # the configured state and its +-_qfi_step
         sensitivity(cfg, x_minus(), 2 * np.pi / collective_rate(cfg))
-        assert len(calls) == len(set(calls)) == 5
+        assert len(calls) == len(set(calls)) == 3
 
     def test_a_qfi_trace_decomposes_each_configuration_once(self, calls):
         cfg, obs = ep3_sensor(0.95, alpha=2.0), x_minus()
@@ -295,7 +295,7 @@ class TestDecomposeOnce:
             qfi(cfg, t)
             susceptibility(cfg, obs, t)
             noise_variance(cfg, obs, t)
-        assert len(calls) == len(set(calls)) == 5
+        assert len(calls) == len(set(calls)) == 3
 
 
 def _residue_total_excitation(cfg, t):
@@ -328,6 +328,36 @@ class TestPeakExcitation:
         expected = max([start] + [reference(cfg, ti) for ti in times])
         assert peak_total_excitation(cfg, t, samples=32) == pytest.approx(
             expected, rel=1e-10, abs=0)
+
+    @pytest.mark.parametrize("cfg, t", [
+        (ep3_sensor(0.95, alpha=2.0, eps1=1e-3, eps2=-2e-3), 40.0),
+        (ep3_sensor(0.9997, alpha=9.4, eps1=2e-6, eps2=2e-6), 600.0),
+        (SystemConfig(n=3, m=2, g=(0.2, 0.3), delta=(1.0, 1.3), alpha=(1.5, 0.5j)), 30.0),
+        (ep4_system(0.2, g1=ep4_locus(0.2).g - 1e-4, alpha=2.0), 100.0),
+    ], ids=["offsets", "near-ep-offsets", "m2", "ep4"])
+    def test_stacked_samples_match_the_per_time_loop(self, cfg, t):
+        # the reference is the loop over evolved states that lossy and
+        # nearly defective configurations still take
+        times = np.linspace(0.0, t, 257)[1:]
+        state0 = coherent_init(cfg)
+        loop = [total_excitation(s) for s in evolve_lossy_trace(state0, cfg, times)]
+        dec = gaussian._decompose(cfg)
+        assert dec.method == "eigen"
+        stacked = metrology._lossless_total_excitations(cfg, dec, times)
+        assert np.abs(np.subtract(stacked, loop)).max() <= 1e-13 * max(loop)
+        assert peak_total_excitation(cfg, t) == pytest.approx(
+            max([total_excitation(state0)] + loop), rel=1e-13, abs=0)
+
+    def test_a_non_finite_sample_or_derivative_raises(self):
+        # the unstable configuration of TestPropagator: the stacked samples
+        # name the first time whose map overflows, as the per-time loop did
+        cfg, rate = ep3_sensor(1 - 1e-6, eps1=1e-3, eps2=1e-3), "max Re(-i lambda) = 0.109"
+        with np.errstate(all="ignore"), pytest.raises(NumericalError) as err:
+            peak_total_excitation(cfg, 1e4)
+        assert "propagator not finite at t = 6484.38" in str(err.value) and rate in str(err.value)
+        with np.errstate(all="ignore"), pytest.raises(NumericalError) as err:
+            susceptibility(cfg, x_minus(), 1e4)
+        assert "derivative not finite at t = 10000" in str(err.value) and rate in str(err.value)
 
 
 class TestExcitations:

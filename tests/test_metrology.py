@@ -9,7 +9,7 @@ from epsensor import (ConfigurationError, Observable, collective_rate,
                       observable, peak_total_excitation, qfi, qfi_chi_scaling,
                       qfi_parts, scaling_fit, sensitivity, sql,
                       susceptibility, working_point_time)
-from epsensor import build_system, metrology, propagator
+from epsensor import build_system, gaussian, metrology, propagator
 from epsensor.gaussian import coherent_init
 from epsensor.acceptance import _chi_grid
 from epsensor.metrology import analytic_noise, analytic_susceptibility, db_ratio
@@ -119,36 +119,83 @@ class TestSusceptibility:
         f2 = susceptibility(scaled, obs, t / 2.0)
         assert f2 == pytest.approx(s2, rel=1e-6)
 
-    @pytest.mark.xfail(strict=True, reason="FD_STEP truncation near the EP: 1.29e-4 "
-                       "off, where criterion 4 asks 1e-4 (exact derivative wanted)")
-    def test_fd_susceptibility_near_the_ep_with_an_offset(self):
+    def test_susceptibility_near_the_ep_with_an_offset(self):
         # a sensitivity row of the benchmark's sensing workload (seed 2,
-        # operation 182); the reference is the exact epsilon-derivative of
-        # the mean, the Frechet derivative of expm(A t) in the direction dA
-        # read from the block exponential expm([[A, dA], [0, A]] t), dps 50
+        # operation 182), where the central difference of step 1e-9 was
+        # 1.29e-4 off; the reference is the exact epsilon-derivative of the
+        # mean, dps 50
         eps = 2.0439776517166087e-06
         cfg = ep3_sensor(0.9997931916499349, alpha=9.381218680607972, eps1=eps, eps2=eps)
         obs = observable("X1-X2", 3)
         t = working_point_time(cfg, 2)
-        with mpmath.workdps(50):
-            H = build_system(cfg).full
-            dH = (build_system(cfg.shifted(1.0, "same")).full
-                  - build_system(cfg.shifted(-1.0, "same")).full) / 2
-            m = len(H)
-            r = 1 / mpmath.sqrt(2)
-            T = mpmath.zeros(m, m)
-            for k in range(0, m, 2):
-                T[k, k], T[k, k + 1] = r, r
-                T[k + 1, k], T[k + 1, k + 1] = -1j * r, 1j * r
-            A, dA = (T * (-1j * mpmath.matrix(X.tolist())) * T.H for X in (H, dH))
-            block = mpmath.zeros(2 * m, 2 * m)
-            for i in range(m):
-                for j in range(m):
-                    block[i, j] = block[m + i, m + j] = mpmath.re(A[i, j])
-                    block[i, m + j] = mpmath.re(dA[i, j])
-            dmu = mpmath.expm(block * t)[:m, m:] * mpmath.matrix(coherent_init(cfg).mu.tolist())
-            expected = abs(float(sum(c * dmu[i] for i, c in enumerate(obs.coefficients))))
+        expected = abs(float(obs.coefficients @ _mp_mean_derivative(cfg, t)))
         assert abs(susceptibility(cfg, obs, t) - expected) / expected < 1e-4
+
+
+def _mp_mean_derivative(cfg, t, mode="same", dps=50):
+    """d mu/d(eps) of the mean at time t from coherent_init, in mpmath: the
+    Frechet derivative of expm(A t) in the direction dA, read from the block
+    exponential expm([[A, dA], [0, A]] t), with the quadrature drift
+    A = T (-i H_full) T^+ (decay included) and dA that of the exact
+    difference of H_full at epsilon +-1 along `mode`."""
+    with mpmath.workdps(dps):
+        H = build_system(cfg).full
+        dH = (build_system(cfg.shifted(1.0, mode)).full
+              - build_system(cfg.shifted(-1.0, mode)).full) / 2
+        m = len(H)
+        r = 1 / mpmath.sqrt(2)
+        T = mpmath.zeros(m, m)
+        for k in range(0, m, 2):
+            T[k, k], T[k, k + 1] = r, r
+            T[k + 1, k], T[k + 1, k + 1] = -1j * r, 1j * r
+        A, dA = (T * (-1j * mpmath.matrix(X.tolist())) * T.H for X in (H, dH))
+        block = mpmath.zeros(2 * m, 2 * m)
+        for i in range(m):
+            for j in range(m):
+                block[i, j] = block[m + i, m + j] = mpmath.re(A[i, j])
+                block[i, m + j] = mpmath.re(dA[i, j])
+        dmu = mpmath.expm(block * t)[:m, m:] * mpmath.matrix(coherent_init(cfg).mu.tolist())
+        return np.array(dmu.tolist(), dtype=float).ravel()
+
+
+class TestExactDerivative:
+    """The exact eps-derivative of the mean (`metrology._mean_derivative`)
+    against the closed first-order form and the mpmath block exponential."""
+
+    @pytest.mark.parametrize("g", [0.95, 0.999, 0.9999, 0.99999])
+    def test_matches_the_closed_form_up_to_the_ep(self, g):
+        # the central difference of step 1e-9 missed 1e-4 here at g = 0.99999
+        cfg = ep3_sensor(g, alpha=2.0)
+        obs = observable("X1-X2", 3)
+        period = working_point_time(cfg)
+        for f in (0.05, 0.3, 1.0, 1.37):
+            a = analytic_susceptibility(cfg, obs, f * period)
+            assert abs(susceptibility(cfg, obs, f * period) - a) / a <= 1e-9, f
+
+    @pytest.mark.parametrize("cfg, periods, mode, eta", [
+        (ep3_sensor(0.95, alpha=2.0, gamma=0.1, Gamma=0.01), 1.0, "same", None),
+        (ep3_sensor(0.998, alpha=2.0, gamma=0.1, Gamma=0.01), 0.3, "single", None),
+        (ep3_sensor(0.95, alpha=2.0), 1.37, "same", 0.7),
+        (ep3_sensor(0.95, alpha=2.0, gamma=0.05, Gamma=0.01), 0.3, "same", 0.7),
+    ], ids=["lossy", "lossy-single", "eta0.7", "lossy-eta0.7"])
+    def test_lossy_and_readout_loss_match_mpmath(self, cfg, periods, mode, eta):
+        t = periods * working_point_time(cfg)
+        dmu = metrology._mean_derivative(cfg, t, mode, eta)
+        expected = _mp_mean_derivative(cfg, t, mode)
+        if eta is not None:
+            expected = np.repeat(np.sqrt([eta, eta, 1.0]), 2) * expected
+        assert np.abs(dmu - expected).max() <= 1e-9 * np.abs(expected).max()
+
+    @pytest.mark.parametrize("cfg, t", [
+        (ep3_sensor(1 - 1e-9, alpha=2.0), 5.0),
+        (ep3_sensor(1 - 1e-9, alpha=2.0), 50.0),
+        (ep3_sensor(1 - 1e-9, alpha=2.0, gamma=0.1, Gamma=0.01), 50.0),
+    ], ids=["t5", "t50", "lossy-t50"])
+    def test_the_expm_branch_matches_mpmath(self, cfg, t):
+        assert gaussian._decompose(cfg).method == "expm"
+        dmu = metrology._mean_derivative(cfg, t)
+        expected = _mp_mean_derivative(cfg, t)
+        assert np.abs(dmu - expected).max() <= 1e-9 * np.abs(expected).max()
 
 
 class TestNoise:

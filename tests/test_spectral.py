@@ -11,6 +11,7 @@ from epsensor import (ConfigurationError, NumericalError, SystemConfig,
                       cubic_discriminant, eigensolve, ep3_sensor, ep4_locus,
                       ep4_system, match_branches, perturbed_eigenvalues_analytic,
                       puiseux_fit)
+from epsensor import spectral
 from epsensor.spectral import (EPS, STABILITY_TOL, aberth_roots, char_poly,
                                eigenvector_residuals)
 
@@ -299,6 +300,25 @@ class TestStackedEigensolve:
                            r"matrix scale 1\.000e\+80 \(configuration 1 of 2\)"):
             eigensolve([SystemConfig(n=4, m=2, g=(g1, 0.2), kappa=(1.0,))
                         for g1 in (0.9, 1e80)])
+
+    def test_a_non_finite_row_leaves_the_iteration_at_once(self, monkeypatch):
+        # the Horner pass overflows on this row and its iterates turn NaN on
+        # the second step; it used to run all ABERTH_MAX_ITER = 400 steps
+        class Counted(float):
+            steps = 0
+
+            def __mul__(self, other):      # used once per step
+                Counted.steps += 1
+                return float(self) * other
+
+        monkeypatch.setattr(spectral, "ABERTH_TOL", Counted(spectral.ABERTH_TOL))
+        cfg = SystemConfig(n=4, m=2, g=(1e80, 0.2), kappa=(1.0,))
+        with np.errstate(all="ignore"):
+            roots = aberth_roots(char_poly(build_system(cfg).reduced))
+        assert not np.isfinite(roots).all() and Counted.steps <= 2
+        with pytest.raises(NumericalError, match=r"root iteration overflows: "
+                           r"matrix scale 1\.000e\+80$"):
+            eigensolve(cfg)
 
 
 class TestDiscriminant:

@@ -65,18 +65,19 @@ class GaussianState:
 class Propagator:
     """Affine Gaussian map over time t: the real quadrature map S_quad and
     the covariance Q added by vacuum-input diffusion (zero when the
-    configuration is lossless)."""
+    configuration is lossless). For a 1-D array of times t, S_quad and Q are
+    stacked (len(t), 2n, 2n)."""
 
     S_quad: np.ndarray
     Q: np.ndarray
-    t: float
+    t: object                    # a float, or the array of times of a stack
     method: str                  # "eigen" or "expm"
     condition_number: float
 
     def symplectic_residual(self):
-        n = self.S_quad.shape[0] // 2
-        om = symplectic_form(n)
-        return float(np.abs(self.S_quad @ om @ self.S_quad.T - om).max())
+        """The largest |S Omega S^T - Omega| entry (over the whole stack)."""
+        om = symplectic_form(self.S_quad.shape[-1] // 2)
+        return float(np.abs(self.S_quad @ om @ np.swapaxes(self.S_quad, -1, -2) - om).max())
 
 
 @dataclass(frozen=True)
@@ -115,30 +116,43 @@ def coherent_init(config):
 
 
 def _lift_to_full(K, kinds):
-    """Expand the reduced operator map to the interleaved (c, c^+) basis by
-    conjugation symmetry."""
+    """Expand the reduced operator map (or a stack of them) to the
+    interleaved (c, c^+) basis by conjugation symmetry."""
     idx = np.array([2 * mode + dag for mode, dag in kinds])
-    Kf = np.zeros((2 * len(kinds), 2 * len(kinds)), dtype=complex)
-    Kf[idx[:, None], idx] = K
-    Kf[idx[:, None] ^ 1, idx ^ 1] = np.conj(K)
+    Kf = np.zeros(K.shape[:-2] + (2 * len(kinds),) * 2, dtype=complex)
+    Kf[..., idx[:, None], idx] = K
+    Kf[..., idx[:, None] ^ 1, idx ^ 1] = np.conj(K)
     return Kf
 
 
-def operator_to_quadrature(K, kinds):
-    """Real quadrature map equivalent to a reduced-basis operator map."""
-    n = len(kinds)
+@functools.lru_cache(maxsize=None)
+def _quadrature_basis(n):
+    """(T, T^+) with T = I_n (x) _T2, the map from the interleaved (c, c^+)
+    basis of n modes to their quadratures; built once per size, read-only."""
     T = np.kron(np.eye(n), _T2)
-    S = T @ _lift_to_full(K, kinds) @ T.conj().T
-    imag = float(np.abs(S.imag).max())
-    scale = max(1.0, float(np.abs(S.real).max()))
-    if imag > 1e-12 * scale:
-        raise NumericalError(f"quadrature map not real: imaginary residual {imag:.3e}")
+    TH = T.conj().T
+    T.flags.writeable = TH.flags.writeable = False
+    return T, TH
+
+
+def operator_to_quadrature(K, kinds):
+    """Real quadrature map equivalent to a reduced-basis operator map, or a
+    stack of them."""
+    T, TH = _quadrature_basis(len(kinds))
+    S = T @ _lift_to_full(K, kinds) @ TH
+    imag = np.atleast_1d(np.abs(S.imag).max(axis=(-2, -1)))
+    scale = np.maximum(1.0, np.abs(S.real).max(axis=(-2, -1)))
+    bad = imag > 1e-12 * scale
+    if bad.any():
+        raise NumericalError(
+            f"quadrature map not real: imaginary residual {imag[bad.argmax()]:.3e}")
     return S.real
 
 
 COND_SWITCH = 1e8
-# a sensitivity row, or one time of a QFI trace, asks for at most 3 distinct
-# configurations (the configured one and its +-_qfi_step of metrology): keep 3
+# a sensitivity row or a QFI trace asks for 3 distinct configurations (the
+# configured one and its +-_qfi_step of metrology), each for all its times
+# at once: keep 3
 MEMO_SIZE = 3
 
 
@@ -163,23 +177,41 @@ class _Decomposition:
     block: np.ndarray = None
 
     def at(self, t):
-        """The Propagator over time t; NumericalError naming the largest
-        growth rate when S or Q is not finite."""
+        """The Propagator over time t, a scalar or a 1-D array of times
+        (then S_quad and Q are stacked; a scalar is a stack of one);
+        NumericalError naming the first time and the largest growth rate
+        when S or Q is not finite.
+
+        The eigen branch forms V diag(e^{-i lam t}) V^-1 for every time by
+        one broadcast matmul, item for item the products a single time
+        takes, so each map is bit for bit the one of its own call; the expm
+        branch loops over the times."""
+        times = np.atleast_1d(np.asarray(t, dtype=float))
         if self.method == "expm":
             m = len(self.block) // 2
-            k = _squarings(self.block, t)
-            F = _expm(self.block * (t / 2.0 ** k))
-            S = F[m:, m:].T
-            Q = S @ F[:m, m:]
-            for _ in range(k):
-                Q = Q + S @ Q @ S.T
-                S = S @ S
+            S, Q = np.empty((2, len(times), m, m))
+            for i, ti in enumerate(times):
+                k = _squarings(self.block, ti)
+                F = _expm(self.block * (ti / 2.0 ** k))
+                Si = F[m:, m:].T
+                Qi = Si @ F[:m, m:]
+                for _ in range(k):
+                    Qi = Qi + Si @ Qi @ Si.T
+                    Si = Si @ Si
+                S[i], Q[i] = Si, Qi
         else:
-            K = self.V @ np.diag(np.exp(-1j * self.lam * t)) @ self.Vinv
-            S = operator_to_quadrature(K, self.kinds)
-            Q = np.zeros_like(S) if self.diffusion is None else self.diffusion(t)
-        return self._finite(Propagator(S_quad=S, Q=Q, t=float(t), method=self.method,
-                                       condition_number=self.cond))
+            n = len(self.lam)
+            D = np.zeros((len(times), n, n), dtype=complex)
+            D[:, range(n), range(n)] = np.exp((-1j * self.lam)[None, :] * times[:, None])
+            S = operator_to_quadrature(self.V @ D @ self.Vinv, self.kinds)
+            Q = np.zeros_like(S) if self.diffusion is None else self.diffusion(times)
+        self._check_finite(times, np.isfinite(S).all(axis=(1, 2)) & np.isfinite(Q).all(axis=(1, 2)),
+                           "propagator")
+        if np.ndim(t) == 0:
+            return Propagator(S_quad=S[0], Q=Q[0], t=float(t), method=self.method,
+                              condition_number=self.cond)
+        return Propagator(S_quad=S, Q=Q, t=times, method=self.method,
+                          condition_number=self.cond)
 
     def reduced_maps(self, times):
         """Eigen branch: the reduced-basis maps K(t) = V e^{-i lam t} V^-1 at
@@ -188,15 +220,13 @@ class _Decomposition:
         times = np.asarray(times, dtype=float)
         K = np.einsum("ij,tj,jk->tik", self.V, np.exp(-1j * np.multiply.outer(times, self.lam)),
                       self.Vinv)
-        bad = ~np.isfinite(K).all(axis=(1, 2))
-        if bad.any():
-            raise NumericalError(f"eigen propagator not finite at t = {times[bad.argmax()]:.6g}: "
-                                 f"largest growth rate {self.growth}")
+        self._check_finite(times, np.isfinite(K).all(axis=(1, 2)), "propagator")
         return K
 
     def derivative(self, t, dH):
         """dS(t)/d(eps), the exact derivative of the quadrature map S(t) when
-        the reduced matrix H moves along dH (H -> H + eps dH).
+        the reduced matrix H moves along dH (H -> H + eps dH); t is a scalar
+        or a 1-D array of times, stacked as in at(t).
 
         Eigen branch: dK = V (F o (V^-1 dH V)) V^-1 with F_ij the divided
         difference of e^{-i lam t} over lam_i, lam_j, written
@@ -209,39 +239,42 @@ class _Decomposition:
         L(2 tau) = S L + L S, S(2 tau) = S^2, which at long times near the
         EP is closer to mpmath than one expm of the block at t (9.6e-6
         against 3.2e-4 relative at g = 1 - 1e-9, t = 1000).
-        Raises NumericalError when the result is not finite."""
+        Raises NumericalError naming the first time whose result is not
+        finite."""
+        times = np.atleast_1d(np.asarray(t, dtype=float))
         if self.method == "expm":
             m = len(self.block) // 2
             A = -self.block[:m, :m]
             E = operator_to_quadrature(-1j * dH, self.kinds)
             X = np.block([[A, E], [np.zeros_like(A), A]])
-            k = _squarings(X, t)
-            F = _expm(X * (t / 2.0 ** k))
-            S, dS = F[:m, :m], F[:m, m:]
-            for _ in range(k):
-                dS = S @ dS + dS @ S
-                S = S @ S
+            dS = np.empty((len(times), m, m))
+            for i, ti in enumerate(times):
+                k = _squarings(X, ti)
+                F = _expm(X * (ti / 2.0 ** k))
+                S, dSi = F[:m, :m], F[:m, m:]
+                for _ in range(k):
+                    dSi = S @ dSi + dSi @ S
+                    S = S @ S
+                dS[i] = dSi
         else:
-            z = -1j * t * np.subtract.outer(self.lam, self.lam)
+            it = (-1j * times)[:, None, None]
+            z = it * np.subtract.outer(self.lam, self.lam)
             ratio = np.ones(z.shape, dtype=complex)
             nz = z != 0
             ratio[nz] = np.expm1(z[nz]) / z[nz]
-            F = np.exp(-1j * self.lam * t)[None, :] * (-1j * t) * ratio
+            F = np.exp((-1j * self.lam)[None, :] * times[:, None])[:, None, :] * it * ratio
             dK = self.V @ (F * (self.Vinv @ dH @ self.V)) @ self.Vinv
             dS = operator_to_quadrature(dK, self.kinds)
-        if not np.isfinite(dS).all():
-            raise NumericalError(f"{self.method} map derivative not finite at t = {t:.6g}: "
-                                 f"largest growth rate {self.growth}")
-        return dS
+        self._check_finite(times, np.isfinite(dS).all(axis=(1, 2)), "map derivative")
+        return dS[0] if np.ndim(t) == 0 else dS
 
-    def _finite(self, prop):
-        """prop, or NumericalError naming the largest growth rate if its S or
-        Q is not finite (the realness check of operator_to_quadrature lets
-        NaN through)."""
-        if not (np.isfinite(prop.S_quad).all() and np.isfinite(prop.Q).all()):
-            raise NumericalError(f"{prop.method} propagator not finite at t = {prop.t:.6g}: "
-                                 f"largest growth rate {self.growth}")
-        return prop
+    def _check_finite(self, times, finite, what):
+        """NumericalError naming the first of `times` whose `what` is not
+        `finite` (one flag per time) and the largest growth rate; the
+        realness check of operator_to_quadrature lets NaN through."""
+        if not finite.all():
+            raise NumericalError(f"{self.method} {what} not finite at t = "
+                                 f"{times[finite.argmin()]:.6g}: largest growth rate {self.growth}")
 
 
 def _squarings(X, t):
@@ -262,7 +295,7 @@ def _decompose(config):
     """The _Decomposition of one configuration, memoized on the frozen
     config: at(t) gives the quadrature map S(t) = exp(A t) of the drift A
     and the diffusion covariance Q(t) = int_0^t S(s) D S(s)^T ds of a lossy
-    configuration.
+    configuration, at one time or stacked over an array of times.
 
     Uses the eigen-decomposition K = V diag(e^{-i lambda t}) V^-1 of the
     reduced matrix when V is well enough conditioned (cond(V) < COND_SWITCH).
@@ -275,7 +308,8 @@ def _decompose(config):
 
     Everything that depends on the configuration alone (the spectrum, V^-1
     and the diffusion in the drift eigenbasis, or the Van Loan block) is
-    computed here once; at(t) does only the work that depends on t.
+    computed here once; at(t) does only the work that depends on t, for all
+    the times of a trace in one call.
     """
     spec = eigensolve(config)
     V = spec.right_vectors
@@ -294,7 +328,10 @@ def _decompose(config):
 
 
 def propagator(config, t):
-    """The Propagator of config over time t; see `_decompose` (memoized)."""
+    """The Propagator of config over time t, or over each time of a 1-D
+    array t, with S_quad and Q stacked (len(t), 2n, 2n), each map bit for
+    bit the one of its own call; see `_decompose` (memoized) and
+    `_Decomposition.at`."""
     return _decompose(config).at(t)
 
 
@@ -303,32 +340,36 @@ def _eigen_diffusion(config, kinds, V, Vinv, eigenvalues):
     eigenvalues are -i lambda on the reduced slots and i conj(lambda) on their
     partners: Qt_ij = Dt_ij (e^{(l_i+l_j) t} - 1)/(l_i+l_j), with the limit t
     where l_i + l_j = 0, and Dt = W^-1 D W^-T (Van Loan, IEEE TAC 23:395,
-    1978). Returns Q as a function of t."""
+    1978). Returns Q as a function of a 1-D array of times, stacked."""
     D = _diffusion(config)
-    T = np.kron(np.eye(config.n), _T2)
+    T, TH = _quadrature_basis(config.n)
     W = T @ _lift_to_full(V, kinds)
-    Winv = _lift_to_full(Vinv, kinds) @ T.conj().T
+    Winv = _lift_to_full(Vinv, kinds) @ TH
     Dt = Winv @ D @ Winv.T
     rates = np.diag(_lift_to_full(np.diag(-1j * eigenvalues), kinds))
     s = rates[:, None] + rates[None, :]
     nz = s != 0
     s_nz = s[nz]
 
-    def Q(t):
-        F = np.full(s.shape, float(t), dtype=complex)
-        F[nz] = np.expm1(s_nz * t) / s_nz
+    def Q(times):
+        F = np.empty((len(times),) + s.shape, dtype=complex)
+        F[...] = times[:, None, None]
+        F[:, nz] = np.expm1(s_nz[None, :] * times[:, None]) / s_nz
         return (W @ (Dt * F) @ W.T).real
     return Q
 
 
 def evolve(state, prop):
     """Affine Gaussian update mu -> S mu, cov -> S cov S^T + Q of a
-    Propagator."""
-    S = prop.S_quad
+    Propagator of one time."""
+    return _evolved(state, prop.S_quad, prop.Q)
+
+
+def _evolved(state, S, Q):
     if S.shape != (len(state.mu), len(state.mu)):
         raise ConfigurationError(
             f"propagator dimension {S.shape} does not match state ({len(state.mu)})")
-    return replace(state, mu=S @ state.mu, cov=S @ state.cov @ S.T + prop.Q)
+    return replace(state, mu=S @ state.mu, cov=S @ state.cov @ S.T + Q)
 
 
 def drift_and_diffusion(config):
@@ -354,8 +395,10 @@ def evolve_lossy(state, config, t):
 
 
 def evolve_lossy_trace(state, config, times):
-    """States at each of `times`, each propagated from `state`."""
-    return [evolve(state, propagator(config, t)) for t in times]
+    """States at each of `times`, each propagated from `state`, from one
+    stacked propagator."""
+    prop = propagator(config, np.asarray(times, dtype=float))
+    return [_evolved(state, S, Q) for S, Q in zip(prop.S_quad, prop.Q)]
 
 
 # ---------------------------------------------------------------------------

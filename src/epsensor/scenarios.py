@@ -325,13 +325,11 @@ def _run_sensitivity_sweep(scn):
 
 
 def _run_qfi_trace(scn):
-    cfg, obs = scn.system, scn.observable
     cols = ["t", "qfi", "qcrb", "inverse_delta_eps"]
     rows = []
-    for t in scn.sweep_grid:
-        value = metrology.qfi(cfg, float(t), mode=scn.perturbation)
-        s = metrology.susceptibility(cfg, obs, float(t), mode=scn.perturbation)
-        nz = metrology.noise_variance(cfg, obs, float(t))
+    trace = metrology._qfi_trace(scn.system, scn.observable, np.asarray(scn.sweep_grid),
+                                scn.perturbation)
+    for t, (value, s, nz) in zip(scn.sweep_grid, trace):
         inv = s / np.sqrt(nz) if nz > 0 else np.inf
         rows.append([t, value, 1.0 / np.sqrt(value) if value > 0 else np.inf, inv])
     return cols, rows, {"points": len(rows)}

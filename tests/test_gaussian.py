@@ -20,6 +20,7 @@ from epsensor.gaussian import (drift_and_diffusion, evolve_lossy_trace,
 from epsensor.metrology import (noise_variance, peak_total_excitation, qfi,
                                 sensitivity, susceptibility, x_minus)
 from epsensor.perturb import exact_propagator_coefficients
+from epsensor.scenarios import parse_scenario, run_scenario
 
 settings.register_profile("suite", deadline=None, derandomize=True)
 settings.load_profile("suite")
@@ -89,15 +90,71 @@ class TestPropagator:
     ], ids=["eigen-unstable", "expm-long-time"])
     def test_non_finite_map_raises(self, cfg, t, rate):
         # past the exceptional point a pair of modes grows like
-        # exp(Re(-i lambda) t), which overflows at long times on either branch
-        with np.errstate(all="ignore"), pytest.raises(NumericalError) as err:
-            propagator(cfg, t)
-        assert f"t = {t:g}" in str(err.value) and rate in str(err.value)
+        # exp(Re(-i lambda) t), which overflows at long times on either branch;
+        # a stack names its first time whose map is not finite
+        for times in (t, [1.0, t, 2.0 * t]):
+            with np.errstate(all="ignore"), pytest.raises(NumericalError) as err:
+                propagator(cfg, times)
+            assert f"propagator not finite at t = {t:g}:" in str(err.value)
+            assert rate in str(err.value)
 
     @given(g=st.floats(0.3, 0.99), t=st.floats(0.0, 50.0))
     @settings(max_examples=40)
     def test_lossless_map_is_symplectic(self, g, t):
         assert propagator(ep3_sensor(g), t).symplectic_residual() < 1e-10
+
+
+def _sensed_dH(cfg):
+    return (build_system(cfg.shifted(1.0, "same")).reduced
+            - build_system(cfg.shifted(-1.0, "same")).reduced) / 2.0
+
+
+class TestStackedPropagator:
+    """An array of times gives the per-time maps stacked, bit for bit."""
+
+    @pytest.mark.parametrize("cfg, t", [
+        (ep3_sensor(0.95, alpha=2.0, eps1=1e-3, eps2=-2e-3), 40.0),
+        (ep3_sensor(0.95, alpha=2.0, gamma=0.1, Gamma=0.01), 140.0),
+        (ep3_sensor(0.95, alpha=2.0, gamma=0.1, Gamma=0.0), 140.0),   # l_i + l_j = 0
+        (ep3_sensor(1 - 1e-9, alpha=2.0), 50.0),
+        (ep3_sensor(1 - 1e-10, alpha=2.0, gamma=0.01, Gamma=0.01), 50.0),
+        (SystemConfig(n=3, m=2, g=(0.2, 0.3), delta=(1.0, 1.3), alpha=(1.5, 0.5j)), 30.0),
+        (ep4_system(0.2, g1=ep4_locus(0.2).g - 1e-4, alpha=2.0), 100.0),
+    ], ids=["lossless", "lossy", "lossy-dark-mode", "expm", "expm-lossy", "m2", "ep4"])
+    def test_a_stack_is_the_per_time_calls(self, cfg, t):
+        times = np.concatenate([[0.0, 0.1], np.linspace(0.3, t, 15)])
+        stacked = propagator(cfg, times)
+        dec, dH = gaussian._decompose(cfg), _sensed_dH(cfg)
+        dS = dec.derivative(times, dH)
+        assert stacked.S_quad.shape == stacked.Q.shape == dS.shape == (len(times), 2 * cfg.n,
+                                                                        2 * cfg.n)
+        assert stacked.method == dec.method and np.array_equal(stacked.t, times)
+        for i, ti in enumerate(times):
+            single = propagator(cfg, ti)
+            assert np.array_equal(stacked.S_quad[i], single.S_quad)
+            assert np.array_equal(stacked.Q[i], single.Q)
+            assert np.array_equal(dS[i], dec.derivative(ti, dH))
+
+    def test_a_trace_evolves_each_time_as_its_own_call(self):
+        cfg = ep3_sensor(0.95, alpha=2.0, gamma=0.1, Gamma=0.01)
+        times = np.linspace(0.5, 140.0, 12)
+        state0 = coherent_init(cfg)
+        for ti, state in zip(times, evolve_lossy_trace(state0, cfg, times)):
+            single = evolve(state0, propagator(cfg, ti))
+            assert np.array_equal(state.mu, single.mu) and np.array_equal(state.cov, single.cov)
+
+    def test_the_symplectic_residual_of_a_stack_is_its_largest(self):
+        cfg = ep3_sensor(0.95)
+        times = np.linspace(0.0, 60.0, 9)
+        residuals = [propagator(cfg, ti).symplectic_residual() for ti in times]
+        assert propagator(cfg, times).symplectic_residual() == max(residuals)
+        assert max(residuals) > 0
+
+    def test_evolve_refuses_a_stack(self):
+        cfg = ep3_sensor(0.9)
+        with pytest.raises(ConfigurationError, match=r"propagator dimension \(3, 6, 6\) "
+                                                     r"does not match state \(6\)"):
+            evolve(coherent_init(cfg), propagator(cfg, [0.5, 1.0, 1.5]))
 
 
 class TestEvolve:
@@ -289,13 +346,35 @@ class TestDecomposeOnce:
         sensitivity(cfg, x_minus(), 2 * np.pi / collective_rate(cfg))
         assert len(calls) == len(set(calls)) == 3
 
-    def test_a_qfi_trace_decomposes_each_configuration_once(self, calls):
-        cfg, obs = ep3_sensor(0.95, alpha=2.0), x_minus()
-        for t in np.linspace(1.0, 20.0, 10):
-            qfi(cfg, t)
-            susceptibility(cfg, obs, t)
-            noise_variance(cfg, obs, t)
+    @pytest.fixture
+    def propagators(self, monkeypatch):
+        """The times of each gaussian.propagator call."""
+        calls = []
+        prop = gaussian.propagator
+
+        def counted(config, t):
+            calls.append(t)
+            return prop(config, t)
+
+        monkeypatch.setattr(gaussian, "propagator", counted)
+        return calls
+
+    @staticmethod
+    def _run_trace(experiment, tmp_path):
+        scn = parse_scenario(f"experiment = {experiment}\ng = 0.95\nalpha = 2j, -2j\n"
+                             "sweep_grid = linspace:1:20:10\n")
+        run_scenario(scn, out_dir=str(tmp_path))
+
+    def test_a_qfi_trace_decomposes_each_configuration_once(self, calls, propagators, tmp_path):
+        # the configured state and its +-_qfi_step, each for all 10 times
+        self._run_trace("qfi_trace", tmp_path)
         assert len(calls) == len(set(calls)) == 3
+        assert len(propagators) == 3 and all(np.shape(t) == (10,) for t in propagators)
+
+    def test_an_evolve_trace_takes_one_propagator(self, calls, propagators, tmp_path):
+        self._run_trace("evolve_trace", tmp_path)
+        assert len(calls) == 1
+        assert len(propagators) == 1 and np.shape(propagators[0]) == (10,)
 
 
 def _residue_total_excitation(cfg, t):
@@ -336,11 +415,11 @@ class TestPeakExcitation:
         (ep4_system(0.2, g1=ep4_locus(0.2).g - 1e-4, alpha=2.0), 100.0),
     ], ids=["offsets", "near-ep-offsets", "m2", "ep4"])
     def test_stacked_samples_match_the_per_time_loop(self, cfg, t):
-        # the reference is the loop over evolved states that lossy and
-        # nearly defective configurations still take
+        # the reference evolves the state to each sample time, as lossy and
+        # nearly defective configurations still do
         times = np.linspace(0.0, t, 257)[1:]
         state0 = coherent_init(cfg)
-        loop = [total_excitation(s) for s in evolve_lossy_trace(state0, cfg, times)]
+        loop = [total_excitation(evolve(state0, propagator(cfg, ti))) for ti in times]
         dec = gaussian._decompose(cfg)
         assert dec.method == "eigen"
         stacked = metrology._lossless_total_excitations(cfg, dec, times)
@@ -355,6 +434,11 @@ class TestPeakExcitation:
         with np.errstate(all="ignore"), pytest.raises(NumericalError) as err:
             peak_total_excitation(cfg, 1e4)
         assert "propagator not finite at t = 6484.38" in str(err.value) and rate in str(err.value)
+        for times in (1e4, [1.0, 1e4, 2e4]):
+            with np.errstate(all="ignore"), pytest.raises(NumericalError) as err:
+                gaussian._decompose(cfg).derivative(times, _sensed_dH(cfg))
+            assert "derivative not finite at t = 10000:" in str(err.value)
+            assert rate in str(err.value)
         with np.errstate(all="ignore"), pytest.raises(NumericalError) as err:
             susceptibility(cfg, x_minus(), 1e4)
         assert "derivative not finite at t = 10000" in str(err.value) and rate in str(err.value)

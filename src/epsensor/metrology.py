@@ -246,7 +246,12 @@ def qfi_parts(config, t, mode="same", eta=None):
     the readout loss eta when given, with respect to the detuning
     perturbation.
 
-    I_mu = dmu^T cov^-1 dmu; I_cov = Tr[Phi dcov]/2 where Phi solves
+    I_mu = dmu^T cov^-1 dmu. A pure final state (a lossless configuration
+    without readout loss) takes cov^-1 = 4 Omega^T cov Omega (Monras,
+    arXiv:1303.3682; Safranek, Lee & Fuentes, NJP 17:073016, 2015), which
+    needs no inverse, so I_mu = 4 (Omega dmu)^T cov (Omega dmu) >= 0 even
+    where cov is squeezed past double precision; a mixed state solves
+    cov x = dmu. I_cov = Tr[Phi dcov]/2 where Phi solves
     dcov = cov Phi cov - Omega Phi Omega^T (vectorized least-squares with
     pseudo-inverse regularization; for pure states the system is rank
     deficient and the minimum-norm solution is the correct one). Derivatives
@@ -268,9 +273,15 @@ def _qfi_terms(config, times, mode="same", eta=None):
     dmu, dcov = _state_derivative(config, times, _qfi_step(config), mode, eta)
     states = _final_states(config, times, eta)
     cov = np.array([s.cov for s in states])
-    i_mu = np.array([float(d @ np.linalg.solve(c, d)) for c, d in zip(cov, dmu)])
-
     n2 = cov.shape[-1]
+    if config.lossless and (eta is None or eta == 1):
+        # a pure state: cov^-1 = 4 Omega^T cov Omega, no inverse of a
+        # covariance that may be squeezed to cond ~ 1e16 near the EP
+        w = dmu @ symplectic_form(n2 // 2).T
+        i_mu = 4.0 * np.einsum("ti,tij,tj->t", w, cov, w)
+    else:
+        i_mu = np.array([float(d @ np.linalg.solve(c, d)) for c, d in zip(cov, dmu)])
+
     # kron(cov, cov) of each time, elementwise as np.kron forms it
     M = (cov[:, :, None, :, None] * cov[:, None, :, None, :]).reshape(-1, n2 * n2, n2 * n2) \
         - _kron_omega(n2 // 2)

@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 
 import mpmath
@@ -12,7 +13,9 @@ from epsensor import (ConfigurationError, Observable, collective_rate,
 from epsensor import build_system, gaussian, metrology, propagator
 from epsensor.gaussian import coherent_init
 from epsensor.acceptance import _chi_grid
-from epsensor.metrology import analytic_noise, analytic_susceptibility, db_ratio
+from epsensor.metrology import (SensitivityReport, analytic_noise, analytic_susceptibility,
+                                db_ratio)
+from epsensor.scenarios import parse_scenario, run_scenario
 
 
 @pytest.fixture(scope="module")
@@ -23,6 +26,22 @@ def sensor():
 @pytest.fixture(scope="module")
 def chi(sensor):
     return collective_rate(sensor)
+
+
+def _mp_covariance(cfg, t, dps=40):
+    """Covariance at time t of the lossless state from coherent_init, in
+    mpmath: S cov0 S^T with S = expm(A t) of the quadrature drift
+    A = T (-i H_full) T^+."""
+    with mpmath.workdps(dps):
+        H = build_system(cfg).full
+        m = len(H)
+        r = 1 / mpmath.sqrt(2)
+        T = mpmath.zeros(m, m)
+        for k in range(0, m, 2):
+            T[k, k], T[k, k + 1] = r, r
+            T[k + 1, k], T[k + 1, k + 1] = -1j * r, 1j * r
+        S = mpmath.expm((T * (-1j * mpmath.matrix(H.tolist())) * T.H).apply(mpmath.re) * t)
+        return S * mpmath.matrix(coherent_init(cfg).cov.tolist()) * S.T
 
 
 class TestObservableParsing:
@@ -315,6 +334,55 @@ class TestQFI:
                     delta = np.sqrt(nz) / s if s > 0 else np.inf
                     bound = 1.0 / np.sqrt(qfi(cfg, t))
                     assert delta >= bound * (1 - 1e-6)
+
+    @staticmethod
+    def _solved_displacement_term(cfg, t):
+        (dmu,), _ = metrology._state_derivative(cfg, [t], metrology._qfi_step(cfg))
+        return dmu, float(dmu @ np.linalg.solve(metrology._final_state(cfg, t).cov, dmu))
+
+    @pytest.mark.parametrize("g", [0.8, 0.85, 0.9])
+    @pytest.mark.parametrize("periods", [0.1, 0.25, 0.37, 0.5, 1.0, 1.5])
+    def test_pure_state_displacement_term_is_the_solve(self, g, periods):
+        # well-conditioned lossless states (cond(cov) <= 1.3e5, where the
+        # solve is good to about cond eps): 4 (Omega dmu)^T cov (Omega dmu) is
+        # dmu^T cov^-1 dmu, within 2.6e-12 here
+        cfg = ep3_sensor(g, alpha=2.0)
+        t = periods * 2 * np.pi / collective_rate(cfg)
+        _, solved = self._solved_displacement_term(cfg, t)
+        assert qfi_parts(cfg, t)[1] == pytest.approx(solved, rel=1e-10, abs=0)
+
+    def test_pure_state_displacement_term_near_the_ep_matches_mpmath(self):
+        # cond(cov) ~ 2.7e16: the solve gives 1.5e25, 400 times too large; the
+        # identity is within 2.3e-9 of dmu^T cov^-1 dmu with the mpmath
+        # covariance (dps 40) and the same dmu
+        cfg, t = ep3_sensor(0.99986, alpha=2.0), 515.0
+        dmu, _ = self._solved_displacement_term(cfg, t)
+        i_mu = qfi_parts(cfg, t)[1]
+        with mpmath.workdps(40):
+            d = mpmath.matrix(dmu.tolist())
+            reference = float((d.T * mpmath.inverse(_mp_covariance(cfg, t)) * d)[0])
+        assert i_mu > 0
+        assert i_mu == pytest.approx(reference, rel=1e-8, abs=0)
+
+    def test_a_benchmark_row_with_a_singular_covariance_is_reported(self, tmp_path):
+        # operation 830 of the sensing benchmark at seed 11: the last two
+        # couplings squeeze the state until np.linalg.solve(cov, dmu) raised
+        # LinAlgError("Singular matrix")
+        scn = parse_scenario(
+            "experiment = sensitivity_sweep\ng = 0.9972039521109677\n"
+            "alpha = 3.781915287129057j, -3.781915287129057j\nobservable = X1-X2\n"
+            "epsilon = 1.3286686964573854e-05, 1.3286686964573854e-05\nsweep_param = g1\n"
+            "sweep_grid = 0.9972039521109677, 0.9992666224835891, 0.9992823098972762\n"
+            "time = working:2\noutput = op00830.csv\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            summary = run_scenario(scn, out_dir=str(tmp_path))
+        assert summary["rows"] == 3
+        rows = (tmp_path / "op00830.csv").read_text().splitlines()[-3:]
+        header = SensitivityReport.CSV_FIELDS
+        for row in rows:
+            report = dict(zip(header, row.split(",")))
+            assert 0 < float(report["qfi"]) < np.inf and 0 < float(report["qcrb"]) < np.inf
 
     def test_chi_scaling_exponent(self):
         grid = np.logspace(np.log10(np.sqrt(1 - 0.999 ** 2)),

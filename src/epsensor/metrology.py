@@ -264,7 +264,7 @@ def qfi_parts(config, t, mode="same", eta=None):
     return float(total[0]), float(i_mu[0]), float(i_cov[0]), bool(ok[0])
 
 
-def _qfi_terms(config, times, mode="same", eta=None):
+def _qfi_terms(config, times, mode, eta=None):
     """((I_total, I_mu, I_cov, solver_ok), states): the terms of qfi_parts,
     each an array over the 1-D `times`, and the final states of the
     configured state there. The three configurations (the configured one
@@ -309,17 +309,6 @@ def _kron_omega(n_modes):
     out = np.kron(om, om)
     out.flags.writeable = False
     return out
-
-
-def _qfi_trace(config, obs, times, mode):
-    """(qfi, susceptibility, noise_var) rows, one per time of the 1-D
-    `times`, of the lossless or lossy state without readout loss: the QFI,
-    susceptibility and noise_variance of each time, from three stacked
-    propagators and one stacked derivative."""
-    terms, states = _qfi_terms(config, times, mode)
-    dmu = _mean_derivative(config, times, mode)
-    return [(float(value), abs(float(obs.coefficients @ d)), obs.variance(state))
-            for value, d, state in zip(terms[0], dmu, states)]
 
 
 def qfi(config, t, mode="same"):

@@ -325,11 +325,16 @@ def _run_sensitivity_sweep(scn):
 
 
 def _run_qfi_trace(scn):
+    # the QFI, susceptibility and noise of every time from three stacked
+    # propagators (the configured state and its +-_qfi_step) and one stacked
+    # derivative
+    cfg, obs, times = scn.system, scn.observable, np.asarray(scn.sweep_grid)
     cols = ["t", "qfi", "qcrb", "inverse_delta_eps"]
     rows = []
-    trace = metrology._qfi_trace(scn.system, scn.observable, np.asarray(scn.sweep_grid),
-                                scn.perturbation)
-    for t, (value, s, nz) in zip(scn.sweep_grid, trace):
+    (values, _, _, _), states = metrology._qfi_terms(cfg, times, scn.perturbation)
+    dmu = metrology._mean_derivative(cfg, times, scn.perturbation)
+    for t, value, d, state in zip(scn.sweep_grid, values.tolist(), dmu, states):
+        s, nz = abs(float(obs.coefficients @ d)), obs.variance(state)
         inv = s / np.sqrt(nz) if nz > 0 else np.inf
         rows.append([t, value, 1.0 / np.sqrt(value) if value > 0 else np.inf, inv])
     return cols, rows, {"points": len(rows)}

@@ -282,15 +282,15 @@ def _qfi_terms(config, times, mode, eta=None):
     else:
         i_mu = np.array([float(d @ np.linalg.solve(c, d)) for c, d in zip(cov, dmu)])
 
-    # kron(cov, cov) of each time, elementwise as np.kron forms it
-    M = (cov[:, :, None, :, None] * cov[:, None, :, None, :]).reshape(-1, n2 * n2, n2 * n2) \
-        - _kron_omega(n2 // 2)
-    rhs = np.swapaxes(dcov, 1, 2).reshape(len(cov), -1)    # each dcov flattened in F order
     i_cov, ok = np.zeros(len(cov)), np.ones(len(cov), dtype=bool)
-    for i in range(len(cov)):
-        sol, _, _, _ = np.linalg.lstsq(M[i], rhs[i], rcond=1e-10)
-        residual = float(np.abs(M[i] @ sol - rhs[i]).max())
-        ok[i] = residual <= 1e-6 * max(1.0, float(np.abs(rhs[i]).max()))
+    for i, (c, dc) in enumerate(zip(cov, dcov)):
+        # kron(c, c) elementwise, as np.kron forms it
+        M = (c[:, None, :, None] * c[None, :, None, :]).reshape(n2 * n2, n2 * n2) \
+            - _kron_omega(n2 // 2)
+        rhs = dc.flatten(order="F")
+        sol, _, _, _ = np.linalg.lstsq(M, rhs, rcond=1e-10)
+        residual = float(np.abs(M @ sol - rhs).max())
+        ok[i] = residual <= 1e-6 * max(1.0, float(np.abs(rhs).max()))
         if not ok[i]:
             warnings.warn(
                 f"Fisher-information solve residual {residual:.2e}; "
@@ -298,7 +298,7 @@ def _qfi_terms(config, times, mode, eta=None):
         else:
             Phi = sol.reshape(n2, n2, order="F")
             Phi = (Phi + Phi.T) / 2.0
-            i_cov[i] = float(0.5 * np.trace(Phi @ dcov[i]))
+            i_cov[i] = float(0.5 * np.trace(Phi @ dc))
     return (i_mu + i_cov, i_mu, i_cov, ok), states
 
 

@@ -151,9 +151,9 @@ def _state_derivative(config, times, h, mode="same", eta=None):
     config.epsilon is shifted by +-h along the sensed direction `mode`
     (config.PERTURBATIONS)."""
     plus, minus = (_final_states(config.shifted(s, mode), times, eta) for s in (h, -h))
-    return tuple((np.array([getattr(s, key) for s in plus])
-                  - np.array([getattr(s, key) for s in minus])) / (2.0 * h)
-                 for key in ("mu", "cov"))
+    dmu = (np.array([s.mu for s in plus]) - np.array([s.mu for s in minus])) / (2.0 * h)
+    dcov = (np.array([s.cov for s in plus]) - np.array([s.cov for s in minus])) / (2.0 * h)
+    return dmu, dcov
 
 
 def _mean_derivative(config, t, mode="same", eta=None):
@@ -335,9 +335,9 @@ def peak_total_excitation(config, t, samples=256):
     if config.lossless and dec.method == "eigen":
         values = _lossless_total_excitations(config, dec, times)
     else:
-        # one time per call on purpose: a stacked call makes the lossy
-        # benchmark workload fast enough that its post-run oracle, which
-        # checks every operation, outlasts the benchmark's child timeout
+        # one time per call on purpose: stacked, the perfbench `lossy`
+        # workload runs so many more operations that its oracle, which checks
+        # every one after the timed loop, outlasts run.CHILD_TIMEOUT_S
         values = [total_excitation(evolve(state0, dec.at(ti))) for ti in times]
     return max(total_excitation(state0), *values)
 

@@ -17,8 +17,7 @@ from epsensor import (ConfigurationError, GaussianState, NumericalError,
 from epsensor import ep4_locus, ep4_system, gaussian, metrology
 from epsensor.gaussian import (drift_and_diffusion, evolve_lossy_trace,
                                two_mode_quadrature_map)
-from epsensor.metrology import (noise_variance, peak_total_excitation, qfi,
-                                sensitivity, susceptibility, x_minus)
+from epsensor.metrology import peak_total_excitation, sensitivity, susceptibility, x_minus
 from epsensor.perturb import exact_propagator_coefficients
 from epsensor.scenarios import parse_scenario, run_scenario
 

@@ -70,7 +70,6 @@ class Propagator:
 
     S_quad: np.ndarray
     Q: np.ndarray
-    t: object                    # a float, or the array of times of a stack
     method: str                  # "eigen" or "expm"
     condition_number: float
 
@@ -158,12 +157,12 @@ MEMO_SIZE = 3
 
 @dataclass(frozen=True, eq=False)
 class _Decomposition:
-    """What one configuration's affine Gaussian maps need, computed once:
-    the branch taken ("eigen" or "expm"), cond(V) of the reduced
-    eigenvectors, the largest growth rate (for overflow messages) and the
-    reduced-basis slot kinds; on the eigen branch V, V^-1, the eigenvalues
-    lam and, for a lossy configuration, the diffusion Q(t); on the expm
-    branch the Van Loan block [[-A, D], [0, A^T]] of the quadrature drift A.
+    """What one configuration's affine Gaussian maps need, computed once by
+    `_decompose`: the branch taken ("eigen" or "expm"), cond(V) of the
+    reduced eigenvectors, the largest growth rate (for overflow messages),
+    the reduced-basis slot kinds and the fields of the branch: V, V^-1, lam
+    and, when lossy, W, Dt, the nonzero rate sums s_ij and the mask of where
+    they sit (eigen), or the quadrature drift A and diffusion D (expm).
     """
 
     method: str
@@ -173,8 +172,12 @@ class _Decomposition:
     V: np.ndarray = None
     Vinv: np.ndarray = None
     lam: np.ndarray = None
-    diffusion: object = None
-    block: np.ndarray = None
+    W: np.ndarray = None
+    Dt: np.ndarray = None
+    rate_sums: np.ndarray = None
+    nonzero: np.ndarray = None
+    A: np.ndarray = None
+    D: np.ndarray = None
 
     def at(self, t):
         """The Propagator over time t, a scalar or a 1-D array of times
@@ -184,44 +187,52 @@ class _Decomposition:
 
         The eigen branch forms V diag(e^{-i lam t}) V^-1 for every time by
         one broadcast matmul, item for item the products a single time
-        takes, so each map is bit for bit the one of its own call; the expm
-        branch loops over the times."""
+        takes, so each map is bit for bit the one of its own call, and Q by
+        `_diffusion`; the expm branch is `_van_loan` of (A, D)."""
         times = np.atleast_1d(np.asarray(t, dtype=float))
         if self.method == "expm":
-            m = len(self.block) // 2
-            S, Q = np.empty((2, len(times), m, m))
-            for i, ti in enumerate(times):
-                k = _squarings(self.block, ti)
-                F = _expm(self.block * (ti / 2.0 ** k))
-                Si = F[m:, m:].T
-                Qi = Si @ F[:m, m:]
-                for _ in range(k):
-                    Qi = Qi + Si @ Qi @ Si.T
-                    Si = Si @ Si
-                S[i], Q[i] = Si, Qi
+            S, Q = _van_loan(self.A, self.D, times)
         else:
             n = len(self.lam)
             D = np.zeros((len(times), n, n), dtype=complex)
             D[:, range(n), range(n)] = np.exp((-1j * self.lam)[None, :] * times[:, None])
             S = operator_to_quadrature(self.V @ D @ self.Vinv, self.kinds)
-            Q = np.zeros_like(S) if self.diffusion is None else self.diffusion(times)
+            Q = np.zeros_like(S) if self.W is None else self._diffusion(times)
         self._check_finite(times, np.isfinite(S).all(axis=(1, 2)) & np.isfinite(Q).all(axis=(1, 2)),
                            "propagator")
         if np.ndim(t) == 0:
-            return Propagator(S_quad=S[0], Q=Q[0], t=float(t), method=self.method,
-                              condition_number=self.cond)
-        return Propagator(S_quad=S, Q=Q, t=times, method=self.method,
-                          condition_number=self.cond)
+            S, Q = S[0], Q[0]
+        return Propagator(S_quad=S, Q=Q, method=self.method, condition_number=self.cond)
 
-    def reduced_maps(self, times):
-        """Eigen branch: the reduced-basis maps K(t) = V e^{-i lam t} V^-1 at
-        every time of `times`, stacked (len(times), n, n) in one einsum;
-        NumericalError naming the largest growth rate when one is not finite."""
+    def _diffusion(self, times):
+        """Eigen branch, lossy: Q(t) = W Qt W^T, stacked over the 1-D
+        `times`, with Qt_ij = Dt_ij (e^{s_ij t} - 1)/s_ij and the limit t
+        where s_ij = 0 (Van Loan, IEEE TAC 23:395, 1978)."""
+        F = np.empty((len(times),) + self.nonzero.shape, dtype=complex)
+        F[...] = times[:, None, None]
+        F[:, self.nonzero] = np.expm1(self.rate_sums[None, :] * times[:, None]) / self.rate_sums
+        return (self.W @ (self.Dt * F) @ self.W.T).real
+
+    def lossless_excitations(self, times, alpha):
+        """Eigen branch, lossless: the total excitation at each of `times`
+        of the state whose magnons start in the coherent states alpha (the
+        cavity empty). The reduced-basis maps K(t) = V e^{-i lam t} V^-1 of
+        every time come from one einsum; the means are K c0 with c0 the
+        initial amplitudes on the reduced slots (conjugated on
+        creation-operator slots), and each slot's vacuum part is the sum of
+        |K_ij|^2 over the slots j of the other kind (annihilation versus
+        creation operator). NumericalError naming the largest growth rate
+        when a map is not finite."""
         times = np.asarray(times, dtype=float)
         K = np.einsum("ij,tj,jk->tik", self.V, np.exp(-1j * np.multiply.outer(times, self.lam)),
                       self.Vinv)
         self._check_finite(times, np.isfinite(K).all(axis=(1, 2)), "propagator")
-        return K
+        alpha = list(alpha) + [0.0]
+        dagger = np.array([dag for _, dag in self.kinds])
+        c0 = np.array([np.conj(alpha[mode]) if dag else alpha[mode] for mode, dag in self.kinds])
+        coherent = (np.abs(K @ c0) ** 2).sum(axis=1)
+        vacuum = (np.abs(K) ** 2)[:, dagger[:, None] != dagger[None, :]].sum(axis=1)
+        return (coherent + vacuum).tolist()
 
     def derivative(self, t, dH):
         """dS(t)/d(eps), the exact derivative of the quadrature map S(t) when
@@ -232,30 +243,22 @@ class _Decomposition:
         difference of e^{-i lam t} over lam_i, lam_j, written
         e^{-i lam_j t} (-i t) expm1(z)/z with z = -i (lam_i - lam_j) t, whose
         confluent limit z = 0 is -i t e^{-i lam_j t} (Daleckii-Krein; Higham,
-        Functions of Matrices, SIAM 2008, sec. 3.2). Expm branch: the
-        top-right block L of expm([[A t, E t], [0, A t]]) = [[S, L], [0, S]]
-        with E the quadrature form of -i dH (Najfeld & Havel, Adv. Appl.
-        Math. 16:321, 1995), taken at t / 2^k like at(t) and doubled k times:
-        L(2 tau) = S L + L S, S(2 tau) = S^2, which at long times near the
-        EP is closer to mpmath than one expm of the block at t (9.6e-6
-        against 3.2e-4 relative at g = 1 - 1e-9, t = 1000).
+        Functions of Matrices, SIAM 2008, sec. 3.2). Expm branch: the map of
+        the augmented drift [[A, E], [0, A]], with E the quadrature form of
+        -i dH, is [[S, dS], [0, S]] (Najfeld & Havel, Adv. Appl. Math.
+        16:321, 1995), so dS is the top-right block of `_van_loan` with zero
+        diffusion; its doubling S <- S^2 is dS(2 tau) = S dS + dS S. At long
+        times near the EP that is closer to mpmath than one expm at t (1.0e-5
+        against 3.2e-4 relative at g = 1 - 1e-9, t = 1000). The same call
+        with the diffusion diag(0, D) would give the exact dQ/d(eps).
         Raises NumericalError naming the first time whose result is not
         finite."""
         times = np.atleast_1d(np.asarray(t, dtype=float))
         if self.method == "expm":
-            m = len(self.block) // 2
-            A = -self.block[:m, :m]
+            m = len(self.A)
             E = operator_to_quadrature(-1j * dH, self.kinds)
-            X = np.block([[A, E], [np.zeros_like(A), A]])
-            dS = np.empty((len(times), m, m))
-            for i, ti in enumerate(times):
-                k = _squarings(X, ti)
-                F = _expm(X * (ti / 2.0 ** k))
-                S, dSi = F[:m, :m], F[:m, m:]
-                for _ in range(k):
-                    dSi = S @ dSi + dSi @ S
-                    S = S @ S
-                dS[i] = dSi
+            X = np.block([[self.A, E], [np.zeros_like(self.A), self.A]])
+            dS = _van_loan(X, np.zeros_like(X), times)[0][:, :m, m:]
         else:
             it = (-1j * times)[:, None, None]
             z = it * np.subtract.outer(self.lam, self.lam)
@@ -277,6 +280,29 @@ class _Decomposition:
                                  f"{times[finite.argmin()]:.6g}: largest growth rate {self.growth}")
 
 
+def _van_loan(A, D, times):
+    """(S, Q) stacked over the 1-D `times`: S(t) = exp(A t) and
+    Q(t) = int_0^t S(s) D S(s)^T ds, from the Van Loan block
+    expm([[-A, D], [0, A^T]] tau) = [[F11, F12], [0, F22]], S(tau) = F22^T,
+    Q(tau) = S(tau) F12 (Van Loan, IEEE TAC 23:395, 1978) at
+    tau = t / 2^k with ||block|| tau <= 1, doubled k times:
+    Q(2 tau) = Q + S Q S^T, S(2 tau) = S^2. The block also holds
+    exp(-A tau), which at tau = t would overflow where the drift decays."""
+    m = len(A)
+    block = np.block([[-A, D], [np.zeros_like(A), A.T]])
+    S, Q = np.empty((2, len(times), m, m))
+    for i, ti in enumerate(times):
+        k = _squarings(block, ti)
+        F = _expm(block * (ti / 2.0 ** k))
+        Si = F[m:, m:].T
+        Qi = Si @ F[:m, m:]
+        for _ in range(k):
+            Qi = Qi + Si @ Qi @ Si.T
+            Si = Si @ Si
+        S[i], Q[i] = Si, Qi
+    return S, Q
+
+
 def _squarings(X, t):
     """The k with ||X||_1 t / 2^k <= 1 (0 when ||X||_1 t <= 1)."""
     norm = float(np.abs(X).sum(axis=0).max())
@@ -295,21 +321,23 @@ def _decompose(config):
     """The _Decomposition of one configuration, memoized on the frozen
     config: at(t) gives the quadrature map S(t) = exp(A t) of the drift A
     and the diffusion covariance Q(t) = int_0^t S(s) D S(s)^T ds of a lossy
-    configuration, at one time or stacked over an array of times.
+    configuration, at one time or stacked over an array of times;
+    derivative(t, dH) gives dS/d(eps), and lossless_excitations the total
+    excitation of a lossless eigen-branch configuration.
 
     Uses the eigen-decomposition K = V diag(e^{-i lambda t}) V^-1 of the
     reduced matrix when V is well enough conditioned (cond(V) < COND_SWITCH).
-    For nearly defective spectra, close to or at exceptional points, it falls
-    back to the Van Loan block expm([[-A, D], [0, A^T]] tau) =
-    [[F11, F12], [0, F22]], S(tau) = F22^T, Q(tau) = S(tau) F12 (Van Loan,
-    IEEE TAC 23:395, 1978) at tau = t / 2^k with ||block|| tau <= 1, doubled k
-    times: Q(2 tau) = Q + S Q S^T, S(2 tau) = S^2. The block also holds
-    exp(-A tau), which at tau = t would overflow where the drift decays.
+    A lossy configuration there also keeps what Q(t) needs in the drift
+    eigenbasis W = T lift(V), whose eigenvalues r are -i lambda on the
+    reduced slots and i conj(lambda) on their partners: W, Dt = W^-1 D W^-T
+    and the nonzero rate sums s_ij = r_i + r_j, with the mask of where they
+    sit. For nearly defective spectra, close to
+    or at exceptional points, it keeps the quadrature drift A and diffusion
+    D instead, for the doubled Van Loan block of `_van_loan`.
 
-    Everything that depends on the configuration alone (the spectrum, V^-1
-    and the diffusion in the drift eigenbasis, or the Van Loan block) is
-    computed here once; at(t) does only the work that depends on t, for all
-    the times of a trace in one call.
+    Everything that depends on the configuration alone is computed here
+    once; at(t) does only the work that depends on t, for all the times of
+    a trace in one call.
     """
     spec = eigensolve(config)
     V = spec.right_vectors
@@ -318,13 +346,19 @@ def _decompose(config):
     kinds = reduced_mode_kinds(config)
     if cond >= COND_SWITCH:
         A, D = drift_and_diffusion(config)
-        block = np.block([[-A, D], [np.zeros_like(A), A.T]])
-        return _Decomposition("expm", cond, growth, kinds, block=block)
+        return _Decomposition("expm", cond, growth, kinds, A=A, D=D)
     Vinv = np.linalg.inv(V)
     lam = spec.eigenvalues
-    diffusion = None if config.lossless else _eigen_diffusion(config, kinds, V, Vinv, lam)
-    return _Decomposition("eigen", cond, growth, kinds, V=V, Vinv=Vinv, lam=lam,
-                          diffusion=diffusion)
+    if config.lossless:
+        return _Decomposition("eigen", cond, growth, kinds, V=V, Vinv=Vinv, lam=lam)
+    T, TH = _quadrature_basis(config.n)
+    W = T @ _lift_to_full(V, kinds)
+    Winv = _lift_to_full(Vinv, kinds) @ TH
+    rates = np.diag(_lift_to_full(np.diag(-1j * lam), kinds))
+    s = rates[:, None] + rates[None, :]
+    return _Decomposition("eigen", cond, growth, kinds, V=V, Vinv=Vinv, lam=lam, W=W,
+                          Dt=Winv @ _diffusion(config) @ Winv.T, rate_sums=s[s != 0],
+                          nonzero=s != 0)
 
 
 def propagator(config, t):
@@ -333,30 +367,6 @@ def propagator(config, t):
     bit the one of its own call; see `_decompose` (memoized) and
     `_Decomposition.at`."""
     return _decompose(config).at(t)
-
-
-def _eigen_diffusion(config, kinds, V, Vinv, eigenvalues):
-    """Q(t) = W Qt W^T in the drift eigenbasis W = T lift(V), whose
-    eigenvalues are -i lambda on the reduced slots and i conj(lambda) on their
-    partners: Qt_ij = Dt_ij (e^{(l_i+l_j) t} - 1)/(l_i+l_j), with the limit t
-    where l_i + l_j = 0, and Dt = W^-1 D W^-T (Van Loan, IEEE TAC 23:395,
-    1978). Returns Q as a function of a 1-D array of times, stacked."""
-    D = _diffusion(config)
-    T, TH = _quadrature_basis(config.n)
-    W = T @ _lift_to_full(V, kinds)
-    Winv = _lift_to_full(Vinv, kinds) @ TH
-    Dt = Winv @ D @ Winv.T
-    rates = np.diag(_lift_to_full(np.diag(-1j * eigenvalues), kinds))
-    s = rates[:, None] + rates[None, :]
-    nz = s != 0
-    s_nz = s[nz]
-
-    def Q(times):
-        F = np.empty((len(times),) + s.shape, dtype=complex)
-        F[...] = times[:, None, None]
-        F[:, nz] = np.expm1(s_nz[None, :] * times[:, None]) / s_nz
-        return (W @ (Dt * F) @ W.T).real
-    return Q
 
 
 def evolve(state, prop):

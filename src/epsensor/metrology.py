@@ -26,7 +26,7 @@ from .config import (ConfigurationError, NumericalError, RegimeError,
                      collective_rate, ep3_sensor, ep4_system)
 from .gaussian import (_decompose, apply_external_loss, coherent_init, evolve,
                        evolve_lossy_trace, symplectic_form, total_excitation)
-from .model import build_system, ep4_locus
+from .model import _reduced_matrices, ep4_locus
 from .perturb import regime_ok, susceptibility_derivatives
 from .spectral import _log_fit, eigensolve
 
@@ -164,8 +164,8 @@ def _mean_derivative(config, t, mode="same", eta=None):
     applied to the initial mean; the readout loss scales the magnon means by
     sqrt(eta), which is linear. For a 1-D array t, one row per time from one
     stacked derivative."""
-    dH = (build_system(config.shifted(1.0, mode)).reduced
-          - build_system(config.shifted(-1.0, mode)).reduced) / 2.0
+    plus, minus = _reduced_matrices([config.shifted(1.0, mode), config.shifted(-1.0, mode)])
+    dH = (plus - minus) / 2.0
     dmu = _decompose(config).derivative(t, dH) @ coherent_init(config).mu
     if eta is not None:
         dmu = np.repeat(np.sqrt(_readout_transmissivities(config, eta)), 2) * dmu
@@ -327,35 +327,19 @@ def peak_total_excitation(config, t, samples=256):
     (the documented N convention for SQL comparisons).
 
     A lossless configuration on the eigen branch takes every sample in one
-    stacked pass (`_lossless_total_excitations`); a lossy or nearly
-    defective one evolves the state to each sample time."""
+    stacked pass (`gaussian._Decomposition.lossless_excitations`); a lossy
+    or nearly defective one evolves the state to each sample time."""
     times = np.linspace(0.0, t, samples + 1)[1:]
     state0 = coherent_init(config)
     dec = _decompose(config)
     if config.lossless and dec.method == "eigen":
-        values = _lossless_total_excitations(config, dec, times)
+        values = dec.lossless_excitations(times, config.alpha)
     else:
         # one time per call on purpose: stacked, the perfbench `lossy`
         # workload runs so many more operations that its oracle, which checks
         # every one after the timed loop, outlasts run.CHILD_TIMEOUT_S
         values = [total_excitation(evolve(state0, dec.at(ti))) for ti in times]
     return max(total_excitation(state0), *values)
-
-
-def _lossless_total_excitations(config, dec, times):
-    """Total excitation of the lossless evolved state at each of `times`,
-    from the stacked reduced-basis maps K(t) of the decomposition `dec`: the
-    means are K c0 with c0 the initial amplitudes on the reduced slots
-    (conjugated on creation-operator slots, the cavity empty), and each
-    slot's vacuum part is the sum of |K_ij|^2 over the slots j of the other
-    kind (annihilation versus creation operator)."""
-    K = dec.reduced_maps(times)
-    alpha = list(config.alpha) + [0.0]
-    dagger = np.array([dag for _, dag in dec.kinds])
-    c0 = np.array([np.conj(alpha[mode]) if dag else alpha[mode] for mode, dag in dec.kinds])
-    coherent = (np.abs(K @ c0) ** 2).sum(axis=1)
-    vacuum = (np.abs(K) ** 2)[:, dagger[:, None] != dagger[None, :]].sum(axis=1)
-    return (coherent + vacuum).tolist()
 
 
 def db_ratio(reference, value):

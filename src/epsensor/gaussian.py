@@ -8,11 +8,12 @@ State vectors are ordered (X1, P1, ..., Xn, Pn) with the cavity last.
 """
 
 import functools
+from collections import OrderedDict
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .config import ConfigurationError, NumericalError
+from .config import ConfigurationError, NumericalError, SystemConfig
 from .model import build_system, reduced_mode_kinds
 from .spectral import eigensolve
 
@@ -149,10 +150,11 @@ def operator_to_quadrature(K, kinds):
 
 
 COND_SWITCH = 1e8
-# a sensitivity row or a QFI trace asks for 3 distinct configurations (the
-# configured one and its +-_qfi_step of metrology), each for all its times
-# at once: keep 3
-MEMO_SIZE = 3
+# a driver decomposes its whole grid up front in one stacked solve and then
+# asks for each point's configurations again; the largest such stack is a
+# 15-point "ep3-qfi" scaling grid, 3 configurations a point (the configured
+# one and its +-_qfi_step of metrology): keep 45
+MEMO_SIZE = 45
 
 
 @dataclass(frozen=True, eq=False)
@@ -160,18 +162,19 @@ class _Decomposition:
     """What one configuration's affine Gaussian maps need, computed once by
     `_decompose`: the branch taken ("eigen" or "expm"), cond(V) of the
     reduced eigenvectors, the largest growth rate (for overflow messages),
-    the reduced-basis slot kinds and the fields of the branch: V, V^-1, lam
-    and, when lossy, W, Dt, the nonzero rate sums s_ij and the mask of where
-    they sit (eigen), or the quadrature drift A and diffusion D (expm).
+    the reduced-basis slot kinds, the eigenvalues lam and the fields of the
+    branch: V, V^-1 and, when lossy, W, Dt, the nonzero rate sums s_ij and
+    the mask of where they sit (eigen), or the quadrature drift A and
+    diffusion D (expm).
     """
 
     method: str
     cond: float
     growth: str
     kinds: tuple
+    lam: np.ndarray
     V: np.ndarray = None
     Vinv: np.ndarray = None
-    lam: np.ndarray = None
     W: np.ndarray = None
     Dt: np.ndarray = None
     rate_sums: np.ndarray = None
@@ -316,14 +319,18 @@ def _expm(X):
     return expm(X)
 
 
-@functools.lru_cache(maxsize=MEMO_SIZE)
-def _decompose(config):
-    """The _Decomposition of one configuration, memoized on the frozen
-    config: at(t) gives the quadrature map S(t) = exp(A t) of the drift A
-    and the diffusion covariance Q(t) = int_0^t S(s) D S(s)^T ds of a lossy
-    configuration, at one time or stacked over an array of times;
-    derivative(t, dH) gives dS/d(eps), and lossless_excitations the total
-    excitation of a lossless eigen-branch configuration.
+_MEMO = OrderedDict()    # config -> its _Decomposition, least recently used first
+
+
+def _decompose(configs):
+    """The _Decomposition of each of a sequence of configurations of one
+    size, as a list; a single configuration is a stack of one and gets its
+    _Decomposition alone, as in `eigensolve`. at(t) gives the quadrature map
+    S(t) = exp(A t) of the drift A and the diffusion covariance
+    Q(t) = int_0^t S(s) D S(s)^T ds of a lossy configuration, at one time or
+    stacked over an array of times; derivative(t, dH) gives dS/d(eps), and
+    lossless_excitations the total excitation of a lossless eigen-branch
+    configuration.
 
     Uses the eigen-decomposition K = V diag(e^{-i lambda t}) V^-1 of the
     reduced matrix when V is well enough conditioned (cond(V) < COND_SWITCH).
@@ -331,32 +338,64 @@ def _decompose(config):
     eigenbasis W = T lift(V), whose eigenvalues r are -i lambda on the
     reduced slots and i conj(lambda) on their partners: W, Dt = W^-1 D W^-T
     and the nonzero rate sums s_ij = r_i + r_j, with the mask of where they
-    sit. For nearly defective spectra, close to
-    or at exceptional points, it keeps the quadrature drift A and diffusion
-    D instead, for the doubled Van Loan block of `_van_loan`.
+    sit. For nearly defective spectra, close to or at exceptional points, it
+    keeps the quadrature drift A and diffusion D instead, for the doubled
+    Van Loan block of `_van_loan`.
 
     Everything that depends on the configuration alone is computed here
     once; at(t) does only the work that depends on t, for all the times of
-    a trace in one call.
+    a trace in one call. The configurations not in the memo take one
+    stacked `eigensolve`, one stacked cond(V) and one stacked V^-1 over the
+    eigen-branch rows, each row bit for bit its own stack of one; the
+    lossy and expm fields are built row by row. The memo keeps the
+    MEMO_SIZE most recently used configurations, and at least the whole
+    stack it last stored, so a driver that decomposes its grid up front
+    finds every point there; it drops entries only when it stores new ones.
     """
-    spec = eigensolve(config)
-    V = spec.right_vectors
-    cond = float(np.linalg.cond(V))
-    growth = f"max Re(-i lambda) = {(-1j * spec.eigenvalues).real.max():.6g}"
-    kinds = reduced_mode_kinds(config)
-    if cond >= COND_SWITCH:
-        A, D = drift_and_diffusion(config)
-        return _Decomposition("expm", cond, growth, kinds, A=A, D=D)
-    Vinv = np.linalg.inv(V)
+    single = isinstance(configs, SystemConfig)
+    configs = [configs] if single else list(configs)
+    wanted = list(dict.fromkeys(configs))
+    new = [config for config in wanted if config not in _MEMO]
+    for config in wanted:
+        if config in _MEMO:
+            _MEMO.move_to_end(config)
+    if new:
+        _MEMO.update(zip(new, _solve_stack(new)))
+        while len(_MEMO) > max(MEMO_SIZE, len(wanted)):
+            _MEMO.popitem(last=False)
+    decompositions = [_MEMO[config] for config in configs]
+    return decompositions[0] if single else decompositions
+
+
+def _solve_stack(configs):
+    """The _Decomposition of each of the distinct `configs` (one size), from
+    one stacked solve; see `_decompose`."""
+    spectra = eigensolve(configs)
+    V = np.array([spec.right_vectors for spec in spectra])
+    cond = np.linalg.cond(V)
+    eigen = cond < COND_SWITCH
+    inverses = iter(np.linalg.inv(V[eigen]))
+    return [_decomposition(config, spec, float(c), next(inverses) if ok else None)
+            for config, spec, c, ok in zip(configs, spectra, cond, eigen)]
+
+
+def _decomposition(config, spec, cond, Vinv):
+    """One row of `_solve_stack`: the expm branch when Vinv is None."""
     lam = spec.eigenvalues
+    growth = f"max Re(-i lambda) = {(-1j * lam).real.max():.6g}"
+    kinds = reduced_mode_kinds(config)
+    if Vinv is None:
+        A, D = drift_and_diffusion(config)
+        return _Decomposition("expm", cond, growth, kinds, lam, A=A, D=D)
+    V = spec.right_vectors
     if config.lossless:
-        return _Decomposition("eigen", cond, growth, kinds, V=V, Vinv=Vinv, lam=lam)
+        return _Decomposition("eigen", cond, growth, kinds, lam, V=V, Vinv=Vinv)
     T, TH = _quadrature_basis(config.n)
     W = T @ _lift_to_full(V, kinds)
     Winv = _lift_to_full(Vinv, kinds) @ TH
     rates = np.diag(_lift_to_full(np.diag(-1j * lam), kinds))
     s = rates[:, None] + rates[None, :]
-    return _Decomposition("eigen", cond, growth, kinds, V=V, Vinv=Vinv, lam=lam, W=W,
+    return _Decomposition("eigen", cond, growth, kinds, lam, V=V, Vinv=Vinv, W=W,
                           Dt=Winv @ _diffusion(config) @ Winv.T, rate_sums=s[s != 0],
                           nonzero=s != 0)
 

@@ -28,7 +28,10 @@ from .gaussian import (_decompose, apply_external_loss, coherent_init, evolve,
                        evolve_lossy_trace, symplectic_form, total_excitation)
 from .model import _reduced_matrices, ep4_locus
 from .perturb import regime_ok, susceptibility_derivatives
-from .spectral import _log_fit, eigensolve
+# not called here (the ep4 points read their eigenvalues from _decompose),
+# but kept bound: perfbench's tracer wraps every module's binding of it, and
+# its test asserts this one
+from .spectral import _log_fit, eigensolve  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -144,13 +147,14 @@ def _readout_transmissivities(config, eta):
     return [eta] * (config.n - 1) + [1.0]
 
 
-def _state_derivative(config, times, h, mode="same", eta=None):
+def _state_derivative(config, times, mode="same", eta=None):
     """(dmu, dcov): d/d(eps) of the mean and covariance of the evolved state
     (after the readout loss eta when given) at each of the 1-D `times`,
-    stacked, by a central difference of step h about the configured state:
-    config.epsilon is shifted by +-h along the sensed direction `mode`
-    (config.PERTURBATIONS)."""
-    plus, minus = (_final_states(config.shifted(s, mode), times, eta) for s in (h, -h))
+    stacked, by a central difference of step h = _qfi_step(config) about the
+    configured state, between the shifted configurations of `_qfi_configs`."""
+    _, *shifted = _qfi_configs(config, mode)
+    plus, minus = (_final_states(c, times, eta) for c in shifted)
+    h = _qfi_step(config)
     dmu = (np.array([s.mu for s in plus]) - np.array([s.mu for s in minus])) / (2.0 * h)
     dcov = (np.array([s.cov for s in plus]) - np.array([s.cov for s in minus])) / (2.0 * h)
     return dmu, dcov
@@ -241,6 +245,31 @@ def _qfi_step(config):
         return 1e-9
 
 
+def _qfi_configs(config, mode="same"):
+    """The configurations a QFI at config decomposes: config itself, then
+    config.epsilon shifted by +_qfi_step and by -_qfi_step along the sensed
+    direction `mode` (config.PERTURBATIONS)."""
+    h = _qfi_step(config)
+    return [config, config.shifted(h, mode), config.shifted(-h, mode)]
+
+
+# what makes a grid point unusable (an overflow, a non-finite map): the
+# scaling fits exclude the point
+_POINT_ERRORS = (FloatingPointError, OverflowError, np.linalg.LinAlgError, NumericalError)
+
+
+def _decompose_ahead(configs):
+    """Decompose all of `configs` (one size) in one stacked solve, so that
+    the point loop that follows finds each one in the memo. If the stack
+    raises, nothing is kept: each point then decomposes its own
+    configurations as a stack of one, and the error lands on the point that
+    raised it."""
+    try:
+        _decompose(configs)
+    except _POINT_ERRORS:
+        pass
+
+
 def qfi_parts(config, t, mode="same", eta=None):
     """(I_total, I_mu, I_cov, solver_ok) of the evolved Gaussian state, after
     the readout loss eta when given, with respect to the detuning
@@ -267,10 +296,11 @@ def qfi_parts(config, t, mode="same", eta=None):
 def _qfi_terms(config, times, mode, eta=None):
     """((I_total, I_mu, I_cov, solver_ok), states): the terms of qfi_parts,
     each an array over the 1-D `times`, and the final states of the
-    configured state there. The three configurations (the configured one
-    and its +-_qfi_step) each take one stacked propagator; only the
-    least-squares solve of I_cov loops over the times."""
-    dmu, dcov = _state_derivative(config, times, _qfi_step(config), mode, eta)
+    configured state there. The three configurations of `_qfi_configs` are
+    decomposed as one stack of 3, and each takes one stacked propagator;
+    only the least-squares solve of I_cov loops over the times."""
+    _decompose(_qfi_configs(config, mode))
+    dmu, dcov = _state_derivative(config, times, mode, eta)
     states = _final_states(config, times, eta)
     cov = np.array([s.cov for s in states])
     n2 = cov.shape[-1]
@@ -412,17 +442,28 @@ def scaling_fit(family, chi_grid):
     constant factor). family "ep3-qfi": the Fisher information of the "ep3"
     states. Dynamically unusable grid points (overflow, a non-finite map,
     vanishing response) are excluded and reported.
+
+    The configurations of every point (with the +-_qfi_step shifts for
+    "ep3-qfi") are decomposed up front in one stacked solve; a point whose
+    working point cannot be built is left out of it (see
+    `_decompose_ahead`).
     """
     point = _SCALING_POINTS.get(family)
     if point is None:
         raise ConfigurationError(f"unknown scaling family {family!r}")
     chi_grid = _check_chi_grid(chi_grid)
+    configs = []
+    for chi in chi_grid:
+        try:
+            configs += _SCALING_CONFIGS[family](chi)
+        except _POINT_ERRORS:
+            pass        # the point loop excludes it and says why
+    _decompose_ahead(configs)
     points, excluded = [], []
     for chi in chi_grid:
         try:
             points.append(point(chi))
-        except (FloatingPointError, OverflowError, np.linalg.LinAlgError,
-                NumericalError) as exc:
+        except _POINT_ERRORS as exc:
             warnings.warn(f"excluding chi={chi:g}: {exc}")
             excluded.append(float(chi))
     chis = np.array([p[0] for p in points])
@@ -466,12 +507,13 @@ def _ep2_point(chi):
     return chi, float(value)
 
 
+def _ep4_base(chi_target):
+    return ep4_system(EP4_F, g1=ep4_locus(EP4_F).g - chi_target ** 4, alpha=SCALING_ALPHA)
+
+
 def _ep4_point(chi_target):
-    locus = ep4_locus(EP4_F)
-    s_off = chi_target ** 4
-    base = ep4_system(EP4_F, g1=locus.g - s_off, alpha=SCALING_ALPHA)
-    spec = eigensolve(base)
-    lam = spec.eigenvalues
+    base = _ep4_base(chi_target)
+    lam = _decompose(base).lam
     chi_eff = float(np.sqrt(np.mean(np.abs(lam - lam.mean()) ** 2)))
     if chi_eff <= 0:
         raise ConfigurationError("degenerate spectrum: no oscillation scale")
@@ -483,6 +525,11 @@ def _ep4_point(chi_target):
 
 _SCALING_POINTS = {"ep3": _ep3_point, "ep3-qfi": _ep3_qfi_point,
                    "ep2": _ep2_point, "ep4": _ep4_point}
+# the configurations each family's point at chi decomposes
+_SCALING_CONFIGS = {"ep3": lambda chi: [_ep3_working_point(chi)[0]],
+                    "ep3-qfi": lambda chi: _qfi_configs(_ep3_working_point(chi)[0]),
+                    "ep2": lambda chi: [],
+                    "ep4": lambda chi: [_ep4_base(chi)]}
 
 
 def qfi_chi_scaling(chi_grid):

@@ -319,6 +319,9 @@ def _run_evolve_trace(scn):
 
 
 def _run_sensitivity_sweep(scn):
+    # every row's configured state and its +-_qfi_step in one stacked solve
+    metrology._decompose_ahead([c for _, config, _, _ in scn.points
+                                for c in metrology._qfi_configs(config, scn.perturbation)])
     rows = [sensitivity(config, scn.observable, t, mode=scn.perturbation, eta=eta).csv_row()
             for _, config, t, eta in scn.points]
     return list(SensitivityReport.CSV_FIELDS), rows, {"points": len(rows)}

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import subprocess
 import sys
@@ -14,10 +15,11 @@ from epsensor import (ConfigurationError, GaussianState, NumericalError,
                       evolve, evolve_lossy, excitation_numbers, propagator,
                       readout_swap, symplectic_form, total_excitation,
                       two_mode_squeezer_coefficients, vacuum_state)
-from epsensor import ep4_locus, ep4_system, gaussian
+from epsensor import ep4_locus, ep4_system, gaussian, metrology
 from epsensor.gaussian import (drift_and_diffusion, evolve_lossy_trace,
                                two_mode_quadrature_map)
-from epsensor.metrology import peak_total_excitation, sensitivity, susceptibility, x_minus
+from epsensor.metrology import (peak_total_excitation, scaling_fit, sensitivity,
+                                susceptibility, x_minus)
 from epsensor.perturb import exact_propagator_coefficients
 from epsensor.scenarios import parse_scenario, run_scenario
 from mp_reference import quadrature_drift
@@ -155,6 +157,46 @@ class TestStackedPropagator:
         with pytest.raises(ConfigurationError, match=r"propagator dimension \(3, 6, 6\) "
                                                      r"does not match state \(6\)"):
             evolve(coherent_init(cfg), propagator(cfg, [0.5, 1.0, 1.5]))
+
+
+class TestStackedDecomposition:
+    """A stack of configurations gives each row's _Decomposition bit for
+    bit, field by field and map by map, as its own cold stack of one."""
+
+    @pytest.mark.parametrize("configs", [
+        [ep3_sensor(0.95, alpha=2.0),
+         ep3_sensor(0.95, alpha=2.0, gamma=0.1, Gamma=0.01),
+         ep3_sensor(1 - 1e-9, alpha=2.0)],                        # expm branch
+        [ep4_system(0.2, g1=ep4_locus(0.2).g - s, alpha=2.0) for s in (1e-2, 1e-6, 1e-12)],
+    ], ids=["n3-lossless-lossy-expm", "n4-ep4"])
+    def test_a_stack_is_bit_for_bit_its_rows(self, configs):
+        gaussian._MEMO.clear()
+        stacked = gaussian._decompose(configs)
+        assert {dec.method for dec in stacked} == {"eigen", "expm"}
+        times, dH = np.array([0.5, 7.0, 40.0]), _sensed_dH(configs[0])
+        for cfg, dec in zip(configs, stacked):
+            gaussian._MEMO.clear()
+            single = gaussian._decompose(cfg)
+            for field in dataclasses.fields(single):
+                a, b = getattr(dec, field.name), getattr(single, field.name)
+                assert (a is None and b is None) or np.array_equal(a, b), field.name
+            assert np.array_equal(dec.at(times).S_quad, single.at(times).S_quad)
+            assert np.array_equal(dec.at(times).Q, single.at(times).Q)
+            assert np.array_equal(dec.derivative(times, dH), single.derivative(times, dH))
+        gaussian._MEMO.clear()
+
+    def test_a_repeated_configuration_is_solved_once(self, monkeypatch):
+        cfg, other = ep3_sensor(0.95, alpha=2.0), ep3_sensor(0.9, alpha=2.0)
+        gaussian._MEMO.clear()
+        first = gaussian._decompose(cfg)
+        stacks = []
+        solve = gaussian.eigensolve
+        monkeypatch.setattr(gaussian, "eigensolve",
+                            lambda configs: stacks.append(configs) or solve(configs))
+        decs = gaussian._decompose([other, cfg, other])
+        assert stacks == [[other]]
+        assert decs[0] is decs[2] and decs[1] is first
+        gaussian._MEMO.clear()
 
 
 class TestEvolve:
@@ -304,19 +346,32 @@ class TestLossyEvolution:
 
 class TestDecomposeOnce:
     @pytest.fixture
-    def calls(self, monkeypatch):
-        """The configurations gaussian decomposes, counted from a cold memo."""
-        calls = []
+    def solves(self, monkeypatch):
+        """(calls, stacks), counted from a cold memo: the configurations that
+        gaussian and metrology solve, every stacked call flattened, and the
+        configurations of each eigensolve call."""
+        calls, stacks = [], []
         solve = gaussian.eigensolve
 
-        def counted(config, *args, **kwargs):
-            calls.append(config)
-            return solve(config, *args, **kwargs)
+        def counted(system, *args, **kwargs):
+            stack = list(system) if isinstance(system, (list, tuple)) else [system]
+            calls.extend(stack)
+            stacks.append(stack)
+            return solve(system, *args, **kwargs)
 
         monkeypatch.setattr(gaussian, "eigensolve", counted)
-        gaussian._decompose.cache_clear()
-        yield calls
-        gaussian._decompose.cache_clear()
+        monkeypatch.setattr(metrology, "eigensolve", counted)
+        gaussian._MEMO.clear()
+        yield calls, stacks
+        gaussian._MEMO.clear()
+
+    @pytest.fixture
+    def calls(self, solves):
+        return solves[0]
+
+    @pytest.fixture
+    def stacks(self, solves):
+        return solves[1]
 
     @pytest.mark.parametrize("cfg", [
         ep3_sensor(0.95, alpha=2.0),
@@ -327,7 +382,7 @@ class TestDecomposeOnce:
         peak_total_excitation(cfg, 5.0)
         assert len(calls) == 1
         calls.clear()
-        gaussian._decompose.cache_clear()
+        gaussian._MEMO.clear()
         states = evolve_lossy_trace(coherent_init(cfg), cfg, np.linspace(0.5, 5.0, 10))
         assert len(calls) == 1 and len(states) == 10
 
@@ -369,6 +424,33 @@ class TestDecomposeOnce:
         self._run_trace("evolve_trace", tmp_path)
         assert len(calls) == 1
         assert len(propagators) == 1 and np.shape(propagators[0]) == (10,)
+
+    def test_a_qfi_trace_is_one_stack_of_3(self, calls, stacks, tmp_path):
+        self._run_trace("qfi_trace", tmp_path)
+        assert [len(stack) for stack in stacks] == [3] and len(set(calls)) == 3
+
+    def test_an_ep3_qfi_grid_is_one_stack_of_45(self, calls, stacks):
+        # 15 working points, each with its +-_qfi_step
+        grid = np.logspace(np.log10(np.sqrt(1 - 0.999 ** 2)), np.log10(np.sqrt(1 - 0.9 ** 2)), 15)
+        fit = scaling_fit("ep3-qfi", grid)
+        assert len(fit.chis) == 15
+        assert [len(stack) for stack in stacks] == [45] and len(set(calls)) == 45
+
+    @pytest.mark.parametrize("rows", [3, 20])
+    def test_a_sensitivity_sweep_is_one_stack(self, calls, stacks, tmp_path, rows):
+        # each row the configured state and its +-_qfi_step; 60 configurations
+        # outnumber MEMO_SIZE, and the memo keeps the whole stack
+        scn = parse_scenario("experiment = sensitivity_sweep\ng = 0.95\nalpha = 2j, -2j\n"
+                             f"sweep_param = g1\nsweep_grid = linspace:0.9:0.96:{rows}\n"
+                             "time = working:1\n")
+        run_scenario(scn, out_dir=str(tmp_path))
+        assert [len(stack) for stack in stacks] == [3 * rows] and len(set(calls)) == 3 * rows
+
+    def test_an_ep4_grid_solves_each_configuration_once(self, calls):
+        # chi_eff comes from the point's own decomposition
+        fit = scaling_fit("ep4", np.logspace(np.log10(0.018), np.log10(0.19), 9))
+        assert len(fit.chis) == 9
+        assert len(calls) == len(set(calls)) == 9
 
 
 def _residue_total_excitation(cfg, t):

@@ -5,7 +5,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from epsensor import (ConfigurationError, Observable, collective_rate,
+from epsensor import (ConfigurationError, NumericalError, Observable, collective_rate,
                       ep3_sensor, feasibility_check, noise_variance,
                       observable, peak_total_excitation, qfi, qfi_chi_scaling,
                       qfi_parts, scaling_fit, sensitivity, sql,
@@ -343,7 +343,7 @@ class TestQFI:
 
     @staticmethod
     def _solved_displacement_term(cfg, t):
-        (dmu,), _ = metrology._state_derivative(cfg, [t], metrology._qfi_step(cfg))
+        (dmu,), _ = metrology._state_derivative(cfg, [t])
         return dmu, float(dmu @ np.linalg.solve(metrology._final_state(cfg, t).cov, dmu))
 
     @pytest.mark.parametrize("g", [0.8, 0.85, 0.9])
@@ -513,6 +513,29 @@ class TestScaling:
             fit = scaling_fit("ep3", self.GRID)
         assert fit.excluded == (bad,)
         assert np.array_equal(fit.chis, np.delete(self.GRID, 3))
+
+    @pytest.mark.parametrize("family", ["ep3", "ep3-qfi"])
+    def test_a_stacked_solve_error_excludes_only_its_point(self, family, monkeypatch):
+        # the grid's stacked solve raises for one working point; the grid is
+        # then solved point by point, and only that point is excluded
+        clean = scaling_fit(family, self.GRID)
+        bad = self.GRID[4]
+        bad_config = metrology._ep3_working_point(bad)[0]
+        solve = gaussian.eigensolve
+
+        def failing(system):
+            if bad_config in (system if isinstance(system, list) else [system]):
+                raise NumericalError("root iteration not finite")
+            return solve(system)
+
+        monkeypatch.setattr(gaussian, "eigensolve", failing)
+        gaussian._MEMO.clear()
+        with pytest.warns(UserWarning, match=f"excluding chi={bad:g}: root iteration"):
+            fit = scaling_fit(family, self.GRID)
+        gaussian._MEMO.clear()
+        assert fit.excluded == (bad,)
+        assert np.array_equal(fit.chis, np.delete(self.GRID, 4))
+        assert np.array_equal(fit.values, np.delete(clean.values, 4))
 
     @pytest.mark.parametrize("family", ["ep3", "ep3-qfi"])
     def test_a_non_finite_coupling_is_an_excluded_point(self, family):

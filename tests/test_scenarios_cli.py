@@ -428,7 +428,7 @@ def test_examples_give_the_same_bytes_from_a_cold_and_a_warm_memo(tmp_path):
     here = os.path.join(os.path.dirname(__file__), "..", "scenarios")
     for name in sorted(f for f in os.listdir(here) if f.endswith(".scn")):
         scn = load_scenario(os.path.join(here, name))
-        gaussian._decompose.cache_clear()
+        gaussian._MEMO.clear()
         cold = run_scenario(scn, out_dir=str(tmp_path / "cold"))["output"]
         warm = run_scenario(scn, out_dir=str(tmp_path / "warm"))["output"]
         assert open(cold, "rb").read() == open(warm, "rb").read(), name

@@ -150,10 +150,11 @@ def operator_to_quadrature(K, kinds):
 
 
 COND_SWITCH = 1e8
-# a driver decomposes its whole grid up front in one stacked solve and then
-# asks for each point's configurations again; the largest such stack is a
-# 15-point "ep3-qfi" scaling grid, 3 configurations a point (the configured
-# one and its +-_qfi_step of metrology): keep 45
+# a scaling fit or a sweep decomposes its whole grid up front in one stacked
+# solve and then asks for each point's configurations again; the largest
+# such stack is a 15-point "ep3-qfi" scaling grid, 3 configurations a point
+# (the configured one and its +-_qfi_step of metrology): keep 45 (a larger
+# stack is kept whole until the next one is stored, see `_decompose`)
 MEMO_SIZE = 45
 
 
@@ -349,16 +350,18 @@ def _decompose(configs):
     eigen-branch rows, each row bit for bit its own stack of one; the
     lossy and expm fields are built row by row. The memo keeps the
     MEMO_SIZE most recently used configurations, and at least the whole
-    stack it last stored, so a driver that decomposes its grid up front
-    finds every point there; it drops entries only when it stores new ones.
+    stack it last stored, so a fit or sweep that decomposes its grid up
+    front finds every point there; it drops entries only when it stores new ones.
     """
     single = isinstance(configs, SystemConfig)
     configs = [configs] if single else list(configs)
     wanted = list(dict.fromkeys(configs))
-    new = [config for config in wanted if config not in _MEMO]
+    new = []
     for config in wanted:
         if config in _MEMO:
             _MEMO.move_to_end(config)
+        else:
+            new.append(config)
     if new:
         _MEMO.update(zip(new, _solve_stack(new)))
         while len(_MEMO) > max(MEMO_SIZE, len(wanted)):

@@ -24,8 +24,8 @@ import numpy as np
 
 from .config import (ConfigurationError, NumericalError, RegimeError,
                      collective_rate, ep3_sensor, ep4_system)
-from .gaussian import (_decompose, apply_external_loss, coherent_init, evolve,
-                       evolve_lossy_trace, symplectic_form, total_excitation)
+from .gaussian import (_decompose, _external_loss, _maps, _moments, coherent_init, evolve,
+                       symplectic_form, total_excitation)
 from .model import _reduced_matrices, ep4_locus
 from .perturb import regime_ok, susceptibility_derivatives
 # not called here (the ep4 points read their eigenvalues from _decompose),
@@ -127,18 +127,21 @@ def working_point_time(config, q=1):
     return 2.0 * np.pi * q / collective_rate(config)
 
 
-def _final_states(config, times, eta=None):
-    """The evolved states at each of `times` (after the readout loss eta
-    when given), from one stacked propagator."""
-    states = evolve_lossy_trace(coherent_init(config), config, times)
+def _final_states(configs, times, eta=None):
+    """(mu, cov): the means and covariances of the evolved states of each of
+    `configs` (configurations of one shape that start from one state, as a
+    QFI's three) at each of the 1-D `times`, stacked (K, T, 2n) and
+    (K, T, 2n, 2n), after the readout loss eta when given. The maps of all
+    rows come from one stacked pass (`gaussian._maps`), each row's moments
+    from one product over its times, and the readout loss acts on the whole
+    stack; every item is bit for bit `evolve` (and `apply_external_loss`) of
+    its own propagator."""
+    state0 = coherent_init(configs[0])
+    moments = [_moments(S, Q, state0.mu, state0.cov) for S, Q in _maps(_decompose(configs), times)]
+    mu, cov = np.array([m for m, _ in moments]), np.array([c for _, c in moments])
     if eta is not None:
-        loss = _readout_transmissivities(config, eta)
-        states = [apply_external_loss(state, loss) for state in states]
-    return states
-
-
-def _final_state(config, t, eta=None):
-    return _final_states(config, [t], eta)[0]
+        mu, cov = _external_loss(mu, cov, _readout_transmissivities(configs[0], eta))
+    return mu, cov
 
 
 def _readout_transmissivities(config, eta):
@@ -148,16 +151,17 @@ def _readout_transmissivities(config, eta):
 
 
 def _state_derivative(config, times, mode="same", eta=None):
-    """(dmu, dcov): d/d(eps) of the mean and covariance of the evolved state
-    (after the readout loss eta when given) at each of the 1-D `times`,
-    stacked, by a central difference of step h = _qfi_step(config) about the
-    configured state, between the shifted configurations of `_qfi_configs`."""
-    _, *shifted = _qfi_configs(config, mode)
-    plus, minus = (_final_states(c, times, eta) for c in shifted)
+    """(dmu, dcov, cov) at each of the 1-D `times`, stacked: d/d(eps) of the
+    mean and covariance of the evolved state (after the readout loss eta
+    when given), by a central difference of step h = _qfi_step(config)
+    between the shifted configurations of `_qfi_configs`, and the covariance
+    of the configured state itself. One `_final_states` pass over
+    (+h, -h, config), in that order, so a map that is not finite raises
+    first for +h, then for -h, then for the configured state."""
+    config, plus, minus = _qfi_configs(config, mode)
+    mu, cov = _final_states([plus, minus, config], times, eta)
     h = _qfi_step(config)
-    dmu = (np.array([s.mu for s in plus]) - np.array([s.mu for s in minus])) / (2.0 * h)
-    dcov = (np.array([s.cov for s in plus]) - np.array([s.cov for s in minus])) / (2.0 * h)
-    return dmu, dcov
+    return (mu[0] - mu[1]) / (2.0 * h), (cov[0] - cov[1]) / (2.0 * h), cov[2]
 
 
 def _mean_derivative(config, t, mode="same", eta=None):
@@ -216,8 +220,13 @@ def analytic_susceptibility(config, obs, t):
 
 
 def noise_variance(config, obs, t, eta=None):
-    """var(O) of the evolved state (covariance propagation)."""
-    return obs.variance(_final_state(config, t, eta))
+    """var(O) of the evolved state (covariance propagation), after the
+    readout loss eta when given: one `_final_states` pass of one
+    configuration at one time. `sensitivity` reads its noise from its QFI's
+    pass instead."""
+    _, cov = _final_states([config], [t], eta)
+    c = obs.coefficients
+    return float(c @ cov[0, 0] @ c)
 
 
 def analytic_noise(config, obs, t):
@@ -287,22 +296,21 @@ def qfi_parts(config, t, mode="same", eta=None):
     are central finite differences with step ~ 1e-7 chi^3 about the
     configured state. If the solve residual is large, solver_ok is False and
     I_cov is reported as 0 so the total is the displacement lower bound.
-    The work is `_qfi_terms` on a stack of one time.
+    The work is `_qfi_terms` on a stack of one time: one stacked pass over
+    the configured state and its +-_qfi_step shifts.
     """
     total, i_mu, i_cov, ok = _qfi_terms(config, [t], mode, eta)[0]
     return float(total[0]), float(i_mu[0]), float(i_cov[0]), bool(ok[0])
 
 
 def _qfi_terms(config, times, mode, eta=None):
-    """((I_total, I_mu, I_cov, solver_ok), states): the terms of qfi_parts,
-    each an array over the 1-D `times`, and the final states of the
-    configured state there. The three configurations of `_qfi_configs` are
-    decomposed as one stack of 3, and each takes one stacked propagator;
-    only the least-squares solve of I_cov loops over the times."""
-    _decompose(_qfi_configs(config, mode))
-    dmu, dcov = _state_derivative(config, times, mode, eta)
-    states = _final_states(config, times, eta)
-    cov = np.array([s.cov for s in states])
+    """((I_total, I_mu, I_cov, solver_ok), cov): the terms of qfi_parts,
+    each an array over the 1-D `times`, and the covariance of the configured
+    state there, stacked (T, 2n, 2n). The three configurations of `_qfi_configs` are decomposed
+    as one stack of 3, and one `_state_derivative` pass evaluates all three
+    at every time; only the least-squares solve of I_cov loops over the
+    times."""
+    dmu, dcov, cov = _state_derivative(config, times, mode, eta)
     n2 = cov.shape[-1]
     if config.lossless and (eta is None or eta == 1):
         # a pure state: cov^-1 = 4 Omega^T cov Omega, no inverse of a
@@ -329,7 +337,7 @@ def _qfi_terms(config, times, mode, eta=None):
             Phi = sol.reshape(n2, n2, order="F")
             Phi = (Phi + Phi.T) / 2.0
             i_cov[i] = float(0.5 * np.trace(Phi @ dc))
-    return (i_mu + i_cov, i_mu, i_cov, ok), states
+    return (i_mu + i_cov, i_mu, i_cov, ok), cov
 
 
 @functools.lru_cache(maxsize=None)
@@ -385,11 +393,16 @@ def sensitivity(config, obs, t, mode="same", eta=None):
 
     valid_regime is true when the configured perturbation lies in the
     first-order regime eps < 0.1 chi^3; it is false where chi is undefined
-    (at or beyond the exceptional point, or not the three-mode sensor)."""
+    (at or beyond the exceptional point, or not the three-mode sensor).
+
+    The noise and the Fisher bound come from one `_qfi_terms` pass: the
+    noise is var(O) of its configured-state covariance."""
     s = susceptibility(config, obs, t, mode=mode, eta=eta)
-    nz = noise_variance(config, obs, t, eta=eta)
+    (values, _, _, _), cov = _qfi_terms(config, [t], mode, eta)
+    c = obs.coefficients
+    nz = float(c @ cov[0] @ c)
     delta = float(np.sqrt(nz) / s) if s > 0 else np.inf
-    value, _, _, _ = qfi_parts(config, t, mode=mode, eta=eta)
+    value = float(values[0])
     bound = float(1.0 / np.sqrt(value)) if value > 0 else np.inf
     if t > 0:
         n_peak = peak_total_excitation(config, t)

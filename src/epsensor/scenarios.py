@@ -25,7 +25,7 @@ import numpy as np
 
 from . import metrology
 from .config import PERTURBATIONS, ConfigurationError, RegimeError, SystemConfig
-from .gaussian import coherent_init, evolve_lossy_trace, excitation_numbers
+from .gaussian import _excitations, _trace_moments, coherent_init
 from .metrology import (Observable, SensitivityReport, observable, sensitivity,
                         working_point_time)
 from .spectral import (PUISEUX_DIRECTIONS, _check_cubic_shape, _check_puiseux_grid,
@@ -311,10 +311,11 @@ def _run_evolve_trace(scn):
     n = cfg.n
     cols = ["t", "mean_obs", "var_obs"] + [f"n{i + 1}" for i in range(n)] + ["n_total"]
     rows = []
-    states = evolve_lossy_trace(coherent_init(cfg), cfg, scn.sweep_grid)
-    for t, st in zip(scn.sweep_grid, states):
-        N = excitation_numbers(st)
-        rows.append([t, obs.mean(st), obs.variance(st)] + list(N) + [float(N.sum())])
+    c = obs.coefficients
+    mu, cov = _trace_moments(coherent_init(cfg), cfg, scn.sweep_grid)
+    for t, m, v in zip(scn.sweep_grid, mu, cov):
+        N = _excitations(m, v)
+        rows.append([t, float(c @ m), float(c @ v @ c)] + list(N) + [float(N.sum())])
     return cols, rows, {"points": len(rows)}
 
 
@@ -328,16 +329,16 @@ def _run_sensitivity_sweep(scn):
 
 
 def _run_qfi_trace(scn):
-    # the QFI, susceptibility and noise of every time from three stacked
-    # propagators (the configured state and its +-_qfi_step) and one stacked
-    # derivative
-    cfg, obs, times = scn.system, scn.observable, np.asarray(scn.sweep_grid)
+    # the QFI, susceptibility and noise of every time from one stacked pass
+    # (the configured state and its +-_qfi_step) and one stacked derivative
+    cfg, times = scn.system, np.asarray(scn.sweep_grid)
+    c = scn.observable.coefficients
     cols = ["t", "qfi", "qcrb", "inverse_delta_eps"]
     rows = []
-    (values, _, _, _), states = metrology._qfi_terms(cfg, times, scn.perturbation)
+    (values, _, _, _), cov = metrology._qfi_terms(cfg, times, scn.perturbation)
     dmu = metrology._mean_derivative(cfg, times, scn.perturbation)
-    for t, value, d, state in zip(scn.sweep_grid, values.tolist(), dmu, states):
-        s, nz = abs(float(obs.coefficients @ d)), obs.variance(state)
+    for t, value, d, v in zip(scn.sweep_grid, values.tolist(), dmu, cov):
+        s, nz = abs(float(c @ d)), float(c @ v @ c)
         inv = s / np.sqrt(nz) if nz > 0 else np.inf
         rows.append([t, value, 1.0 / np.sqrt(value) if value > 0 else np.inf, inv])
     return cols, rows, {"points": len(rows)}

@@ -28,6 +28,17 @@ settings.register_profile("suite", deadline=None, derandomize=True)
 settings.load_profile("suite")
 
 
+class TestSymplecticForm:
+    @pytest.mark.parametrize("n", [1, 3, 4])
+    def test_built_once_per_size_and_read_only(self, n):
+        om = symplectic_form(n)
+        assert np.array_equal(om, np.kron(np.eye(n), np.array([[0.0, 1.0], [-1.0, 0.0]])))
+        assert symplectic_form(n) is om and not om.flags.writeable
+        with pytest.raises(ValueError):
+            om[0, 1] = 2.0
+        assert np.array_equal(metrology._kron_omega(n), np.kron(om, om))
+
+
 class TestStates:
     def test_coherent_init_imaginary_pair(self):
         cfg = ep3_sensor(0.95, alpha=2.0)
@@ -157,6 +168,33 @@ class TestStackedPropagator:
         with pytest.raises(ConfigurationError, match=r"propagator dimension \(3, 6, 6\) "
                                                      r"does not match state \(6\)"):
             evolve(coherent_init(cfg), propagator(cfg, [0.5, 1.0, 1.5]))
+
+
+class TestStackedMaps:
+    """gaussian._maps: the maps of several decompositions at once, each bit
+    for bit, in value and memory layout, its own at(times)."""
+
+    def test_a_mixed_stack_is_each_row_at_its_times(self):
+        configs = [ep3_sensor(0.95, alpha=2.0), ep3_sensor(0.95, alpha=2.0, gamma=0.1, Gamma=0.01),
+                   ep3_sensor(1 - 1e-9, alpha=2.0), ep3_sensor(0.9, alpha=2.0)]
+        times = np.array([0.0, 0.4, 17.0, 140.0])
+        decs = gaussian._decompose(configs)
+        assert [dec.method for dec in decs] == ["eigen", "eigen", "expm", "eigen"]
+        for (S, Q), dec in zip(gaussian._maps(decs, times), decs):
+            single = dec.at(times)
+            assert np.array_equal(S, single.S_quad) and S.strides == single.S_quad.strides
+            assert np.array_equal(Q, single.Q)
+
+    def test_the_first_failing_row_raises_its_own_error(self):
+        # a lossless and a lossy unstable row overflow at t = 1e4; whichever
+        # comes first in the stack names its own growth rate
+        unstable = ep3_sensor(1 - 1e-6, eps1=1e-3, eps2=1e-3)
+        decs = gaussian._decompose([ep3_sensor(0.95), unstable, unstable.with_losses(0.01, 0.0)])
+        for order, rate in (([0, 1, 2], "0.109105"), ([0, 2, 1], "0.105848")):
+            with np.errstate(all="ignore"), pytest.raises(NumericalError) as err:
+                gaussian._maps([decs[i] for i in order], [1.0, 1e4, 2e4])
+            assert str(err.value) == ("eigen propagator not finite at t = 10000: largest "
+                                      f"growth rate max Re(-i lambda) = {rate}")
 
 
 class TestStackedDecomposition:
@@ -414,11 +452,27 @@ class TestDecomposeOnce:
                              "sweep_grid = linspace:1:20:10\n")
         run_scenario(scn, out_dir=str(tmp_path))
 
-    def test_a_qfi_trace_decomposes_each_configuration_once(self, calls, propagators, tmp_path):
-        # the configured state and its +-_qfi_step, each for all 10 times
+    @pytest.fixture
+    def passes(self, monkeypatch):
+        """(decompositions, times) of each stacked map pass of metrology."""
+        calls = []
+        maps = metrology._maps
+
+        def counted(decompositions, times):
+            calls.append((decompositions, times))
+            return maps(decompositions, times)
+
+        monkeypatch.setattr(metrology, "_maps", counted)
+        return calls
+
+    def test_a_qfi_trace_decomposes_each_configuration_once(self, calls, passes, propagators,
+                                                             tmp_path):
+        # the configured state and its +-_qfi_step, all 10 times in one pass
         self._run_trace("qfi_trace", tmp_path)
         assert len(calls) == len(set(calls)) == 3
-        assert len(propagators) == 3 and all(np.shape(t) == (10,) for t in propagators)
+        assert len(passes) == 1 and not propagators
+        decompositions, times = passes[0]
+        assert len({id(dec) for dec in decompositions}) == 3 and np.shape(times) == (10,)
 
     def test_an_evolve_trace_takes_one_propagator(self, calls, propagators, tmp_path):
         self._run_trace("evolve_trace", tmp_path)
@@ -445,6 +499,12 @@ class TestDecomposeOnce:
                              "time = working:1\n")
         run_scenario(scn, out_dir=str(tmp_path))
         assert [len(stack) for stack in stacks] == [3 * rows] and len(set(calls)) == 3 * rows
+
+    def test_criterion_10_is_one_stack(self, calls, stacks):
+        # the base configuration and its gamma and Gamma series: 9 distinct
+        from epsensor.acceptance import criterion_10_losses
+        criterion_10_losses()
+        assert [len(set(stack)) for stack in stacks] == [9] and len(set(calls)) == 9
 
     def test_an_ep4_grid_solves_each_configuration_once(self, calls):
         # chi_eff comes from the point's own decomposition

@@ -47,11 +47,13 @@ class Observable:
             raise ConfigurationError("observable coefficients must be nonzero")
         object.__setattr__(self, "coefficients", c)
 
-    def mean(self, state):
-        return float(self.coefficients @ state.mu)
+    def mean(self, mu):
+        """<O> of a state with first moments mu."""
+        return float(self.coefficients @ mu)
 
-    def variance(self, state):
-        return float(self.coefficients @ state.cov @ self.coefficients)
+    def variance(self, cov):
+        """var(O) of a state with covariance cov."""
+        return float(self.coefficients @ cov @ self.coefficients)
 
 
 def observable(spec, n_modes):
@@ -225,8 +227,7 @@ def noise_variance(config, obs, t, eta=None):
     configuration at one time. `sensitivity` reads its noise from its QFI's
     pass instead."""
     _, cov = _final_states([config], [t], eta)
-    c = obs.coefficients
-    return float(c @ cov[0, 0] @ c)
+    return obs.variance(cov[0, 0])
 
 
 def analytic_noise(config, obs, t):
@@ -399,8 +400,7 @@ def sensitivity(config, obs, t, mode="same", eta=None):
     noise is var(O) of its configured-state covariance."""
     s = susceptibility(config, obs, t, mode=mode, eta=eta)
     (values, _, _, _), cov = _qfi_terms(config, [t], mode, eta)
-    c = obs.coefficients
-    nz = float(c @ cov[0] @ c)
+    nz = obs.variance(cov[0])
     delta = float(np.sqrt(nz) / s) if s > 0 else np.inf
     value = float(values[0])
     bound = float(1.0 / np.sqrt(value)) if value > 0 else np.inf

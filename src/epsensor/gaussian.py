@@ -141,32 +141,15 @@ def _quadrature_basis(n):
 def operator_to_quadrature(K, kinds):
     """Real quadrature map equivalent to a reduced-basis operator map, or a
     stack of them."""
-    S = _complex_quadrature(K, kinds)
-    _check_real(*_realness(S))
-    return S.real
-
-
-def _complex_quadrature(K, kinds):
-    """T lift(K) T^+ of a reduced-basis operator map, or of a stack of them
-    (any leading axes), before its realness is checked."""
     T, TH = _quadrature_basis(len(kinds))
-    return T @ _lift_to_full(K, kinds) @ TH
-
-
-def _realness(S):
-    """(bad, imag) of each map of the complex stack S (any leading axes; a
-    single map is a stack of one): its largest imaginary entry, and whether
-    that exceeds 1e-12 of max(1, its largest real entry)."""
+    S = T @ _lift_to_full(K, kinds) @ TH
     imag = np.atleast_1d(np.abs(S.imag).max(axis=(-2, -1)))
-    return imag > 1e-12 * np.maximum(1.0, np.abs(S.real).max(axis=(-2, -1))), imag
-
-
-def _check_real(bad, imag):
-    """NumericalError naming the imaginary residual of the first bad map of
-    a 1-D stack (see `_realness`)."""
+    scale = np.maximum(1.0, np.abs(S.real).max(axis=(-2, -1)))
+    bad = imag > 1e-12 * scale
     if bad.any():
         raise NumericalError(
             f"quadrature map not real: imaginary residual {imag[bad.argmax()]:.3e}")
+    return S.real
 
 
 COND_SWITCH = 1e8
@@ -210,15 +193,17 @@ class _Decomposition:
         when S or Q is not finite.
 
         The eigen branch forms V diag(e^{-i lam t}) V^-1 for every time by
-        `_operator_maps`, item for item the products a single time takes, so
-        each map is bit for bit the one of its own call, and Q by
+        one broadcast matmul, item for item the products a single time
+        takes, so each map is bit for bit the one of its own call, and Q by
         `_diffusion`; the expm branch is `_van_loan` of (A, D)."""
         times = np.atleast_1d(np.asarray(t, dtype=float))
         if self.method == "expm":
             S, Q = _van_loan(self.A, self.D, times)
         else:
-            S = operator_to_quadrature(_operator_maps(self.V, self.lam, self.Vinv, times),
-                                       self.kinds)
+            n = len(self.lam)
+            D = np.zeros((len(times), n, n), dtype=complex)
+            D[:, range(n), range(n)] = np.exp((-1j * self.lam)[None, :] * times[:, None])
+            S = operator_to_quadrature(self.V @ D @ self.Vinv, self.kinds)
             Q = np.zeros_like(S) if self.W is None else self._diffusion(times)
         self._check_finite(times, np.isfinite(S).all(axis=(1, 2)) & np.isfinite(Q).all(axis=(1, 2)),
                            "propagator")
@@ -302,57 +287,20 @@ class _Decomposition:
                                  f"{times[finite.argmin()]:.6g}: largest growth rate {self.growth}")
 
 
-def _operator_maps(V, lam, Vinv, times):
-    """K(t) = V diag(e^{-i lam t}) V^-1 at each of the 1-D `times`, (T, n, n)
-    for one eigen-decomposition (V, lam, V^-1), or (R, T, n, n) for R of
-    them stacked (V (R, n, n), lam (R, n)); one broadcast matmul, item for
-    item the products of a single row and time."""
-    n = lam.shape[-1]
-    D = np.zeros(lam.shape[:-1] + (len(times), n, n), dtype=complex)
-    D[..., range(n), range(n)] = np.exp((-1j * lam)[..., None, :] * times[:, None])
-    return V[..., None, :, :] @ D @ Vinv[..., None, :, :]
-
-
 def _maps(decompositions, times):
-    """[(S, Q)] of each of `decompositions` (configurations of one shape)
-    over the 1-D `times`, each stacked (T, 2n, 2n) and bit for bit, in value
-    and in memory layout, the S_quad and Q of its own `at(times)`: a matmul
-    of the strided real part of a complex map sums in another order than
-    one of a contiguous map, so the layout fixes the rounding of the moments
-    taken from it. The lossless eigen-branch rows take one broadcast
-    V diag(e^{-i lam t}) V^-1 and one quadrature map over their whole stack;
-    the lossy and expm-branch rows go through `at`. Row by row in the given
-    order, each map is checked as `at` checks it (real, then finite), so the
-    first row that fails raises the NumericalError of its own call."""
-    times = np.asarray(times, dtype=float)
-    fast = [dec.method == "eigen" and dec.W is None for dec in decompositions]
-    if any(fast):
-        rows = [dec for dec, f in zip(decompositions, fast) if f]
-        Sc = _complex_quadrature(
-            _operator_maps(np.array([dec.V for dec in rows]), np.array([dec.lam for dec in rows]),
-                           np.array([dec.Vinv for dec in rows]), times),
-            rows[0].kinds)
-        S, zero = Sc.real, np.zeros(Sc.shape[1:])
-        bad, imag = _realness(Sc)
-        finite = np.isfinite(S).all(axis=(-2, -1))
-    maps, i = [], 0
-    for dec, f in zip(decompositions, fast):
-        if f:
-            _check_real(bad[i], imag[i])
-            dec._check_finite(times, finite[i], "propagator")
-            maps.append((S[i], zero))
-            i += 1
-        else:
-            prop = dec.at(times)
-            maps.append((prop.S_quad, prop.Q))
-    return maps
+    """[(S, Q)] of each of `decompositions` over the 1-D `times`, each
+    stacked (T, 2n, 2n): the S_quad and Q of its own `at(times)`, row by row
+    in the given order, so the first row whose map fails raises the
+    NumericalError of its own call."""
+    return [(prop.S_quad, prop.Q) for prop in (dec.at(times) for dec in decompositions)]
 
 
-def _moments(S, Q, mu0, cov0):
+def _moments(S, Q, mu0, cov0, times=None):
     """(mu, cov) = (S mu0, S cov0 S^T + Q) of the initial moments (mu0,
-    cov0) under the maps (S, Q) stacked over any leading axes, each item bit
-    for bit the product of its own map."""
-    if S.shape[-2:] != (len(mu0), len(mu0)):
+    cov0) under the map (S, Q) of one time, or under the maps stacked over
+    the 1-D `times`, each item bit for bit the product of its own map."""
+    stack = () if times is None else np.shape(times)
+    if S.shape != stack + (len(mu0), len(mu0)):
         raise ConfigurationError(
             f"propagator dimension {S.shape} does not match state ({len(mu0)})")
     return S @ mu0, S @ cov0 @ np.swapaxes(S, -1, -2) + Q
@@ -488,11 +436,8 @@ def propagator(config, t):
 def evolve(state, prop):
     """Affine Gaussian update mu -> S mu, cov -> S cov S^T + Q of a
     Propagator of one time."""
-    S, Q = prop.S_quad, prop.Q
-    if S.shape != (len(state.mu), len(state.mu)):
-        raise ConfigurationError(
-            f"propagator dimension {S.shape} does not match state ({len(state.mu)})")
-    return replace(state, mu=S @ state.mu, cov=S @ state.cov @ S.T + Q)
+    mu, cov = _moments(prop.S_quad, prop.Q, state.mu, state.cov)
+    return replace(state, mu=mu, cov=cov)
 
 
 def drift_and_diffusion(config):
@@ -527,8 +472,9 @@ def evolve_lossy_trace(state, config, times):
 def _trace_moments(state, config, times):
     """(mu, cov) of `state` propagated over each of the 1-D `times`, stacked
     (T, 2n) and (T, 2n, 2n), from one stacked `propagator`."""
-    prop = propagator(config, np.asarray(times, dtype=float))
-    return _moments(prop.S_quad, prop.Q, state.mu, state.cov)
+    times = np.asarray(times, dtype=float)
+    prop = propagator(config, times)
+    return _moments(prop.S_quad, prop.Q, state.mu, state.cov, times)
 
 
 # ---------------------------------------------------------------------------

@@ -47,13 +47,11 @@ class Observable:
             raise ConfigurationError("observable coefficients must be nonzero")
         object.__setattr__(self, "coefficients", c)
 
-    def mean(self, mu):
-        """<O> of a state with first moments mu."""
-        return float(self.coefficients @ mu)
+    def mean(self, state):
+        return float(self.coefficients @ state.mu)
 
-    def variance(self, cov):
-        """var(O) of a state with covariance cov."""
-        return float(self.coefficients @ cov @ self.coefficients)
+    def variance(self, state):
+        return float(self.coefficients @ state.cov @ self.coefficients)
 
 
 def observable(spec, n_modes):
@@ -133,13 +131,15 @@ def _final_states(configs, times, eta=None):
     """(mu, cov): the means and covariances of the evolved states of each of
     `configs` (configurations of one shape that start from one state, as a
     QFI's three) at each of the 1-D `times`, stacked (K, T, 2n) and
-    (K, T, 2n, 2n), after the readout loss eta when given. The maps of all
-    rows come from one stacked pass (`gaussian._maps`), each row's moments
-    from one product over its times, and the readout loss acts on the whole
-    stack; every item is bit for bit `evolve` (and `apply_external_loss`) of
-    its own propagator."""
+    (K, T, 2n, 2n), after the readout loss eta when given. Each row's maps
+    over all times come from its own `at(times)` (`gaussian._maps`) and its
+    moments from one product over those times, and the readout loss acts on
+    the whole stack; every item is bit for bit `evolve` (and
+    `apply_external_loss`) of its own propagator."""
+    times = np.asarray(times, dtype=float)
     state0 = coherent_init(configs[0])
-    moments = [_moments(S, Q, state0.mu, state0.cov) for S, Q in _maps(_decompose(configs), times)]
+    moments = [_moments(S, Q, state0.mu, state0.cov, times)
+               for S, Q in _maps(_decompose(configs), times)]
     mu, cov = np.array([m for m, _ in moments]), np.array([c for _, c in moments])
     if eta is not None:
         mu, cov = _external_loss(mu, cov, _readout_transmissivities(configs[0], eta))
@@ -227,7 +227,8 @@ def noise_variance(config, obs, t, eta=None):
     configuration at one time. `sensitivity` reads its noise from its QFI's
     pass instead."""
     _, cov = _final_states([config], [t], eta)
-    return obs.variance(cov[0, 0])
+    c = obs.coefficients
+    return float(c @ cov[0, 0] @ c)
 
 
 def analytic_noise(config, obs, t):
@@ -307,10 +308,10 @@ def qfi_parts(config, t, mode="same", eta=None):
 def _qfi_terms(config, times, mode, eta=None):
     """((I_total, I_mu, I_cov, solver_ok), cov): the terms of qfi_parts,
     each an array over the 1-D `times`, and the covariance of the configured
-    state there, stacked (T, 2n, 2n). The three configurations of `_qfi_configs` are decomposed
-    as one stack of 3, and one `_state_derivative` pass evaluates all three
-    at every time; only the least-squares solve of I_cov loops over the
-    times."""
+    state there, stacked (T, 2n, 2n). The three configurations of
+    `_qfi_configs` are decomposed as one stack of 3, and one
+    `_state_derivative` pass evaluates all three at every time; only the
+    least-squares solve of I_cov loops over the times."""
     dmu, dcov, cov = _state_derivative(config, times, mode, eta)
     n2 = cov.shape[-1]
     if config.lossless and (eta is None or eta == 1):
@@ -400,7 +401,8 @@ def sensitivity(config, obs, t, mode="same", eta=None):
     noise is var(O) of its configured-state covariance."""
     s = susceptibility(config, obs, t, mode=mode, eta=eta)
     (values, _, _, _), cov = _qfi_terms(config, [t], mode, eta)
-    nz = obs.variance(cov[0])
+    c = obs.coefficients
+    nz = float(c @ cov[0] @ c)
     delta = float(np.sqrt(nz) / s) if s > 0 else np.inf
     value = float(values[0])
     bound = float(1.0 / np.sqrt(value)) if value > 0 else np.inf

@@ -311,10 +311,11 @@ def _run_evolve_trace(scn):
     n = cfg.n
     cols = ["t", "mean_obs", "var_obs"] + [f"n{i + 1}" for i in range(n)] + ["n_total"]
     rows = []
+    c = obs.coefficients
     mu, cov = _trace_moments(coherent_init(cfg), cfg, scn.sweep_grid)
     for t, m, v in zip(scn.sweep_grid, mu, cov):
         N = _excitations(m, v)
-        rows.append([t, obs.mean(m), obs.variance(v)] + list(N) + [float(N.sum())])
+        rows.append([t, float(c @ m), float(c @ v @ c)] + list(N) + [float(N.sum())])
     return cols, rows, {"points": len(rows)}
 
 
@@ -330,13 +331,14 @@ def _run_sensitivity_sweep(scn):
 def _run_qfi_trace(scn):
     # the QFI, susceptibility and noise of every time from one stacked pass
     # (the configured state and its +-_qfi_step) and one stacked derivative
-    cfg, obs, times = scn.system, scn.observable, np.asarray(scn.sweep_grid)
+    cfg, times = scn.system, np.asarray(scn.sweep_grid)
+    c = scn.observable.coefficients
     cols = ["t", "qfi", "qcrb", "inverse_delta_eps"]
     rows = []
     (values, _, _, _), cov = metrology._qfi_terms(cfg, times, scn.perturbation)
     dmu = metrology._mean_derivative(cfg, times, scn.perturbation)
     for t, value, d, v in zip(scn.sweep_grid, values.tolist(), dmu, cov):
-        s, nz = abs(float(obs.coefficients @ d)), obs.variance(v)
+        s, nz = abs(float(c @ d)), float(c @ v @ c)
         inv = s / np.sqrt(nz) if nz > 0 else np.inf
         rows.append([t, value, 1.0 / np.sqrt(value) if value > 0 else np.inf, inv])
     return cols, rows, {"points": len(rows)}

@@ -148,7 +148,7 @@ def operator_to_quadrature(K, kinds):
     bad = imag > 1e-12 * scale
     if bad.any():
         raise NumericalError(
-            f"quadrature map not real: imaginary residual {imag[bad.argmax()]:.3e}")
+            f"quadrature map not real: imaginary residual {imag.flat[bad.argmax()]:.3e}")
     return S.real
 
 
@@ -193,17 +193,15 @@ class _Decomposition:
         when S or Q is not finite.
 
         The eigen branch forms V diag(e^{-i lam t}) V^-1 for every time by
-        one broadcast matmul, item for item the products a single time
-        takes, so each map is bit for bit the one of its own call, and Q by
+        `_operator_maps`, item for item the products a single time takes, so
+        each map is bit for bit the one of its own call, and Q by
         `_diffusion`; the expm branch is `_van_loan` of (A, D)."""
         times = np.atleast_1d(np.asarray(t, dtype=float))
         if self.method == "expm":
             S, Q = _van_loan(self.A, self.D, times)
         else:
-            n = len(self.lam)
-            D = np.zeros((len(times), n, n), dtype=complex)
-            D[:, range(n), range(n)] = np.exp((-1j * self.lam)[None, :] * times[:, None])
-            S = operator_to_quadrature(self.V @ D @ self.Vinv, self.kinds)
+            S = operator_to_quadrature(_operator_maps(self.V, self.lam, self.Vinv, times),
+                                       self.kinds)
             Q = np.zeros_like(S) if self.W is None else self._diffusion(times)
         self._check_finite(times, np.isfinite(S).all(axis=(1, 2)) & np.isfinite(Q).all(axis=(1, 2)),
                            "propagator")
@@ -287,11 +285,40 @@ class _Decomposition:
                                  f"{times[finite.argmin()]:.6g}: largest growth rate {self.growth}")
 
 
+def _operator_maps(V, lam, Vinv, times):
+    """K(t) = V diag(e^{-i lam t}) V^-1 at each of the 1-D `times`, (T, n, n)
+    for one eigen-decomposition (V, lam, V^-1), or (R, T, n, n) for R of
+    them stacked (V (R, n, n), lam (R, n)); one broadcast matmul, item for
+    item the products of a single row and time."""
+    n = lam.shape[-1]
+    D = np.zeros(lam.shape[:-1] + (len(times), n, n), dtype=complex)
+    D[..., range(n), range(n)] = np.exp((-1j * lam)[..., None, :] * times[:, None])
+    return V[..., None, :, :] @ D @ Vinv[..., None, :, :]
+
+
 def _maps(decompositions, times):
-    """[(S, Q)] of each of `decompositions` over the 1-D `times`, each
-    stacked (T, 2n, 2n): the S_quad and Q of its own `at(times)`, row by row
-    in the given order, so the first row whose map fails raises the
-    NumericalError of its own call."""
+    """[(S, Q)] of each of `decompositions` (configurations of one shape)
+    over the 1-D `times`, each stacked (T, 2n, 2n) and bit for bit, in value
+    and memory layout, the S_quad and Q of its own `at(times)`. When every
+    row is lossless on the eigen branch, all take one `_operator_maps` and
+    one quadrature map; if any of those maps is not real or not finite,
+    every row goes through `at` in the given order, so the first row that
+    fails raises the NumericalError of its own call."""
+    times = np.asarray(times, dtype=float)
+    if len(decompositions) > 1 and all(dec.method == "eigen" and dec.W is None
+                                       for dec in decompositions):
+        try:
+            with np.errstate(all="ignore"):  # a failing stack is redone row by row
+                S = operator_to_quadrature(
+                    _operator_maps(np.array([dec.V for dec in decompositions]),
+                                   np.array([dec.lam for dec in decompositions]),
+                                   np.array([dec.Vinv for dec in decompositions]), times),
+                    decompositions[0].kinds)
+        except NumericalError:
+            S = None
+        if S is not None and np.isfinite(S).all():
+            zero = np.zeros(S.shape[1:])
+            return [(Si, zero) for Si in S]
     return [(prop.S_quad, prop.Q) for prop in (dec.at(times) for dec in decompositions)]
 
 

@@ -185,12 +185,31 @@ class TestStackedMaps:
             assert np.array_equal(S, single.S_quad) and S.strides == single.S_quad.strides
             assert np.array_equal(Q, single.Q)
 
-    def test_the_first_failing_row_raises_its_own_error(self):
-        # a lossless and a lossy unstable row overflow at t = 1e4; whichever
-        # comes first in the stack names its own growth rate
+    @pytest.mark.parametrize("eps", [0.0, 1e-3])
+    def test_a_lossless_eigen_stack_is_one_pass_and_each_row_at_its_times(self, eps, monkeypatch):
+        # the configured state and its +-h near the EP, as a QFI stacks them
+        configs = [ep3_sensor(0.999, alpha=2.0, eps1=eps + d) for d in (1e-6, -1e-6, 0.0)]
+        times = np.array([0.0, 0.4, 17.0, 140.0])
+        decs = gaussian._decompose(configs)
+        assert all(dec.method == "eigen" and dec.W is None for dec in decs)
+        singles = [dec.at(times) for dec in decs]
+        monkeypatch.setattr(gaussian._Decomposition, "at",
+                            lambda self, t: pytest.fail("a lossless eigen stack called at"))
+        for (S, Q), single in zip(gaussian._maps(decs, times), singles):
+            assert np.array_equal(S, single.S_quad) and S.strides == single.S_quad.strides
+            assert np.array_equal(Q, single.Q)
+
+    @pytest.mark.parametrize("lossy", [False, True])
+    def test_the_first_failing_row_raises_its_own_error(self, lossy):
+        # two unstable rows overflow at t = 1e4; whichever comes first in the
+        # stack names its own growth rate, whether the stack is all lossless
+        # eigen rows (one pass, redone row by row) or not (row by row)
         unstable = ep3_sensor(1 - 1e-6, eps1=1e-3, eps2=1e-3)
-        decs = gaussian._decompose([ep3_sensor(0.95), unstable, unstable.with_losses(0.01, 0.0)])
-        for order, rate in (([0, 1, 2], "0.109105"), ([0, 2, 1], "0.105848")):
+        other = unstable.with_losses(0.01, 0.0) if lossy else ep3_sensor(1 - 1e-6, eps1=2e-3,
+                                                                          eps2=2e-3)
+        decs = gaussian._decompose([ep3_sensor(0.95), unstable, other])
+        rates = ("0.109105", "0.105848" if lossy else "0.137462")
+        for order, rate in (([0, 1, 2], rates[0]), ([0, 2, 1], rates[1])):
             with np.errstate(all="ignore"), pytest.raises(NumericalError) as err:
                 gaussian._maps([decs[i] for i in order], [1.0, 1e4, 2e4])
             assert str(err.value) == ("eigen propagator not finite at t = 10000: largest "

@@ -288,12 +288,12 @@ class _Decomposition:
 def _operator_maps(V, lam, Vinv, times):
     """K(t) = V diag(e^{-i lam t}) V^-1 at each of the 1-D `times`, (T, n, n)
     for one eigen-decomposition (V, lam, V^-1), or (R, T, n, n) for R of
-    them stacked (V (R, n, n), lam (R, n)); one broadcast matmul, item for
-    item the products of a single row and time."""
+    them stacked (V and V^-1 (R, 1, n, n), lam (R, n)); one broadcast
+    matmul, item for item the products of a single row and time."""
     n = lam.shape[-1]
     D = np.zeros(lam.shape[:-1] + (len(times), n, n), dtype=complex)
     D[..., range(n), range(n)] = np.exp((-1j * lam)[..., None, :] * times[:, None])
-    return V[..., None, :, :] @ D @ Vinv[..., None, :, :]
+    return V @ D @ Vinv
 
 
 def _maps(decompositions, times):
@@ -310,9 +310,9 @@ def _maps(decompositions, times):
         try:
             with np.errstate(all="ignore"):  # a failing stack is redone row by row
                 S = operator_to_quadrature(
-                    _operator_maps(np.array([dec.V for dec in decompositions]),
+                    _operator_maps(np.array([dec.V for dec in decompositions])[:, None],
                                    np.array([dec.lam for dec in decompositions]),
-                                   np.array([dec.Vinv for dec in decompositions]), times),
+                                   np.array([dec.Vinv for dec in decompositions])[:, None], times),
                     decompositions[0].kinds)
         except NumericalError:
             S = None
@@ -330,7 +330,7 @@ def _moments(S, Q, mu0, cov0, times=None):
     if S.shape != stack + (len(mu0), len(mu0)):
         raise ConfigurationError(
             f"propagator dimension {S.shape} does not match state ({len(mu0)})")
-    return S @ mu0, S @ cov0 @ np.swapaxes(S, -1, -2) + Q
+    return S @ mu0, S @ cov0 @ S.swapaxes(-1, -2) + Q
 
 
 def _van_loan(A, D, times):

@@ -131,9 +131,9 @@ def _final_states(configs, times, eta=None):
     """(mu, cov): the means and covariances of the evolved states of each of
     `configs` (configurations of one shape that start from one state, as a
     QFI's three) at each of the 1-D `times`, stacked (K, T, 2n) and
-    (K, T, 2n, 2n), after the readout loss eta when given. Each row's maps
-    over all times come from its own `at(times)` (`gaussian._maps`) and its
-    moments from one product over those times, and the readout loss acts on
+    (K, T, 2n, 2n), after the readout loss eta when given. The maps of all
+    rows at all times come from one `gaussian._maps`, each row's moments
+    from one product over its times, and the readout loss acts on
     the whole stack; every item is bit for bit `evolve` (and
     `apply_external_loss`) of its own propagator."""
     times = np.asarray(times, dtype=float)

@@ -15,10 +15,10 @@ from .config import (ConfigurationError, SystemConfig, collective_rate,
 from .gaussian import (GaussianState, apply_external_loss, coherent_init,
                        evolve, evolve_lossy, excitation_numbers, propagator,
                        evolve_lossy_trace, readout_swap)
-from .metrology import (_decompose_ahead, analytic_susceptibility, db_ratio,
-                        feasibility_check, noise_variance, observable,
+from .metrology import (_decompose_ahead, _delta_eps, analytic_susceptibility,
+                        db_ratio, feasibility_check, noise_variance, observable,
                         peak_total_excitation, qfi_chi_scaling, qfi_parts,
-                        scaling_fit, sql, susceptibility)
+                        scaling_fit, sql, susceptibility, working_point_time)
 from .model import ep4_locus
 from .perturb import (exact_propagator_coefficients, first_order_propagator,
                       susceptibility_derivatives)
@@ -116,7 +116,7 @@ def criterion_4_susceptibility_crosscheck():
     worst = 0.0
     for g in (0.8, 0.9, 0.95):
         cfg = ep3_sensor(g, alpha=2.0)
-        period = 2.0 * np.pi / collective_rate(cfg)
+        period = working_point_time(cfg)
         obs = observable("X1-X2", 3)
         for k in range(1, 21):
             t = k * period / 20.0
@@ -134,7 +134,7 @@ def criterion_5_working_point():
     g, alpha = 0.95, 2.0
     cfg = ep3_sensor(g, alpha=alpha)
     chi = collective_rate(cfg)
-    t = 2.0 * np.pi / chi
+    t = working_point_time(cfg)
     obs = observable("X1-X2", 3)
     nz = noise_variance(cfg, obs, t)
     res.add("noise of X1-X2", nz, "1 +- 1e-8", _within(nz, 1.0, 1e-8))
@@ -203,9 +203,8 @@ def criterion_8_conservation_suite():
     relation under every channel."""
     res = CriterionResult(8, "Conservation and symplectic structure")
     cfg = ep3_sensor(0.95, alpha=2.0)
-    chi = collective_rate(cfg)
     state0 = coherent_init(cfg)
-    times = np.linspace(0.0, 5 * 2.0 * np.pi / chi, 64)[1:]
+    times = np.linspace(0.0, working_point_time(cfg, 5), 64)[1:]
     states = evolve_lossy_trace(state0, cfg, times)
     values = [N[0] - N[1] - N[2] for N in map(excitation_numbers, states)]
     spread = max(values) - min(values)
@@ -225,7 +224,7 @@ def criterion_8_conservation_suite():
     res.add("purity |det(2 cov) - 1|", worst_pur, "<= 1e-8", worst_pur <= 1e-8)
 
     lossy = cfg.with_losses(0.1, 0.01)
-    t = 2.0 * np.pi / collective_rate(lossy)
+    t = working_point_time(lossy)
     channels = {
         "exact evolution": evolve(state0, propagator(cfg, 1.7)),
         "lossy evolution": evolve_lossy(state0, lossy, t),
@@ -266,7 +265,7 @@ def criterion_10_losses():
     res = CriterionResult(10, "Loss behavior and SQL margin")
     obs = observable("X1-X2", 3)
     base = ep3_sensor(0.95, alpha=2.0, gamma=0.1, Gamma=0.01)
-    t = 2.0 * np.pi / collective_rate(base)
+    t = working_point_time(base)
     gammas = [0.0, 0.025, 0.05, 0.075, 0.1]
     cfgs_g = [ep3_sensor(0.95, alpha=2.0, gamma=gv, Gamma=0.01) for gv in gammas]
     Gammas = [0.0, 0.0025, 0.005, 0.0075, 0.01]
@@ -274,31 +273,23 @@ def criterion_10_losses():
     # the base configuration and both series in one stacked solve
     _decompose_ahead([base] + cfgs_g + cfgs_G)
 
-    def delta_eps(cfg, tv, eta=None):
-        s = susceptibility(cfg, obs, tv, eta=eta)
-        nz = noise_variance(cfg, obs, tv, eta=eta)
-        return float(np.sqrt(nz) / s)
-
-    de = delta_eps(base, t)
+    de = _delta_eps(base, obs, t)
     n_peak = peak_total_excitation(base, t, samples=128)
     margin = db_ratio(sql(n_peak, t), de)
     res.add("margin below SQL (20 log10 convention)", margin, "> 10 dB", margin > 10.0)
 
-    def series(cfgs_times):
-        return [delta_eps(c, tv) for c, tv in cfgs_times]
-
-    vals_g = series([(c, 2.0 * np.pi / collective_rate(c)) for c in cfgs_g])
+    vals_g = [_delta_eps(c, obs, working_point_time(c)) for c in cfgs_g]
     mono_g = all(b >= a * (1.0 - 1e-9) for a, b in zip(vals_g, vals_g[1:]))
     res.add("monotone in gamma (min step)",
             min(b - a for a, b in zip(vals_g, vals_g[1:])), ">= 0", mono_g)
 
-    vals_G = series([(c, 2.0 * np.pi / collective_rate(c)) for c in cfgs_G])
+    vals_G = [_delta_eps(c, obs, working_point_time(c)) for c in cfgs_G]
     mono_G = all(b >= a * (1.0 - 1e-9) for a, b in zip(vals_G, vals_G[1:]))
     res.add("monotone in Gamma (min step)",
             min(b - a for a, b in zip(vals_G, vals_G[1:])), ">= 0", mono_G)
 
     etas = [1.0, 0.9, 0.8, 0.7, 0.6]
-    vals_e = [delta_eps(base, t, eta=e) for e in etas]
+    vals_e = [_delta_eps(base, obs, t, eta=e) for e in etas]
     mono_e = all(b >= a * (1.0 - 1e-9) for a, b in zip(vals_e, vals_e[1:]))
     res.add("monotone in 1 - eta (min step)",
             min(b - a for a, b in zip(vals_e, vals_e[1:])), ">= 0", mono_e)

@@ -8,7 +8,7 @@ for the documented conversion used in reports.
 """
 
 import cmath
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -132,10 +132,16 @@ class SystemConfig:
         moved = sensed_magnons(direction)
         epsilon = list(self.epsilon)
         epsilon[moved] = [e + eps for e in epsilon[moved]]
-        return replace(self, epsilon=tuple(epsilon))
+        return _with(self, epsilon=tuple(epsilon))
 
     def with_losses(self, gamma, Gamma):
-        return replace(self, gamma=float(gamma), Gamma=float(Gamma))
+        return _with(self, gamma=float(gamma), Gamma=float(Gamma))
+
+
+def _with(config, **changes):
+    """`config` with `changes`, validated as any SystemConfig (what
+    dataclasses.replace does, without its per-field bookkeeping)."""
+    return SystemConfig(**{**vars(config), **changes})
 
 
 def collective_rate(config):

@@ -8,13 +8,12 @@ State vectors are ordered (X1, P1, ..., Xn, Pn) with the cavity last.
 """
 
 import functools
-from collections import OrderedDict
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .config import ConfigurationError, NumericalError, SystemConfig
-from .model import build_system, reduced_mode_kinds
+from .model import _reduced_matrices, reduced_mode_kinds
 from .spectral import eigensolve
 
 _T2 = np.array([[1.0, 1.0], [-1j, 1j]]) / np.sqrt(2.0)
@@ -153,28 +152,20 @@ def operator_to_quadrature(K, kinds):
 
 
 COND_SWITCH = 1e8
-# a scaling fit or a sweep decomposes its whole grid up front in one stacked
-# solve and then asks for each point's configurations again; the largest
-# such stack is a 15-point "ep3-qfi" scaling grid, 3 configurations a point
-# (the configured one and its +-_qfi_step of metrology): keep 45 (a larger
-# stack is kept whole until the next one is stored, see `_decompose`)
-MEMO_SIZE = 45
 
 
 @dataclass(frozen=True, eq=False)
 class _Decomposition:
     """What one configuration's affine Gaussian maps need, computed once by
     `_decompose`: the branch taken ("eigen" or "expm"), cond(V) of the
-    reduced eigenvectors, the largest growth rate (for overflow messages),
-    the reduced-basis slot kinds, the eigenvalues lam and the fields of the
-    branch: V, V^-1 and, when lossy, W, Dt, the nonzero rate sums s_ij and
-    the mask of where they sit (eigen), or the quadrature drift A and
-    diffusion D (expm).
+    reduced eigenvectors, the reduced-basis slot kinds, the eigenvalues lam
+    and the fields of the branch: V, V^-1 and, when lossy, W, Dt, the
+    nonzero rate sums s_ij and the mask of where they sit (eigen), or the
+    quadrature drift A and diffusion D (expm).
     """
 
     method: str
     cond: float
-    growth: str
     kinds: tuple
     lam: np.ndarray
     V: np.ndarray = None
@@ -278,11 +269,13 @@ class _Decomposition:
 
     def _check_finite(self, times, finite, what):
         """NumericalError naming the first of `times` whose `what` is not
-        `finite` (one flag per time) and the largest growth rate; the
-        realness check of operator_to_quadrature lets NaN through."""
+        `finite` (one flag per time) and the largest growth rate
+        max Re(-i lam); the realness check of operator_to_quadrature lets
+        NaN through."""
         if not finite.all():
             raise NumericalError(f"{self.method} {what} not finite at t = "
-                                 f"{times[finite.argmin()]:.6g}: largest growth rate {self.growth}")
+                                 f"{times[finite.argmin()]:.6g}: largest growth rate "
+                                 f"max Re(-i lambda) = {(-1j * self.lam).real.max():.6g}")
 
 
 def _operator_maps(V, lam, Vinv, times):
@@ -369,7 +362,7 @@ def _expm(X):
     return expm(X)
 
 
-_MEMO = OrderedDict()    # config -> its _Decomposition, least recently used first
+_MEMO = {}    # config -> its _Decomposition: the working set of the last call that solved
 
 
 def _decompose(configs):
@@ -397,24 +390,25 @@ def _decompose(configs):
     a trace in one call. The configurations not in the memo take one
     stacked `eigensolve`, one stacked cond(V) and one stacked V^-1 over the
     eigen-branch rows, each row bit for bit its own stack of one; the
-    lossy and expm fields are built row by row. The memo keeps the
-    MEMO_SIZE most recently used configurations, and at least the whole
-    stack it last stored, so a fit or sweep that decomposes its grid up
-    front finds every point there; it drops entries only when it stores new ones.
+    lossy and expm fields are built row by row.
+
+    The memo holds the working set of the last call that solved: a call
+    that solves any configuration replaces it with the distinct
+    configurations that call asked for (those already there kept, the rest
+    from its one stacked solve), and a call that solves nothing leaves it
+    as it is. So a fit or sweep that decomposes its grid up front finds
+    every point there, and a lone row keeps its configured state while it
+    adds its +-h shifts. A stack that raises leaves the memo as it was.
     """
     single = isinstance(configs, SystemConfig)
     configs = [configs] if single else list(configs)
-    wanted = list(dict.fromkeys(configs))
-    new = []
-    for config in wanted:
-        if config in _MEMO:
-            _MEMO.move_to_end(config)
-        else:
-            new.append(config)
+    new = [config for config in dict.fromkeys(configs) if config not in _MEMO]
     if new:
-        _MEMO.update(zip(new, _solve_stack(new)))
-        while len(_MEMO) > max(MEMO_SIZE, len(wanted)):
-            _MEMO.popitem(last=False)
+        solved = _solve_stack(new)
+        working = {config: _MEMO[config] for config in configs if config in _MEMO}
+        working.update(zip(new, solved))
+        _MEMO.clear()
+        _MEMO.update(working)
     decompositions = [_MEMO[config] for config in configs]
     return decompositions[0] if single else decompositions
 
@@ -434,20 +428,19 @@ def _solve_stack(configs):
 def _decomposition(config, spec, cond, Vinv):
     """One row of `_solve_stack`: the expm branch when Vinv is None."""
     lam = spec.eigenvalues
-    growth = f"max Re(-i lambda) = {(-1j * lam).real.max():.6g}"
     kinds = reduced_mode_kinds(config)
     if Vinv is None:
         A, D = drift_and_diffusion(config)
-        return _Decomposition("expm", cond, growth, kinds, lam, A=A, D=D)
+        return _Decomposition("expm", cond, kinds, lam, A=A, D=D)
     V = spec.right_vectors
     if config.lossless:
-        return _Decomposition("eigen", cond, growth, kinds, lam, V=V, Vinv=Vinv)
+        return _Decomposition("eigen", cond, kinds, lam, V=V, Vinv=Vinv)
     T, TH = _quadrature_basis(config.n)
     W = T @ _lift_to_full(V, kinds)
     Winv = _lift_to_full(Vinv, kinds) @ TH
     rates = np.diag(_lift_to_full(np.diag(-1j * lam), kinds))
     s = rates[:, None] + rates[None, :]
-    return _Decomposition("eigen", cond, growth, kinds, lam, V=V, Vinv=Vinv, W=W,
+    return _Decomposition("eigen", cond, kinds, lam, V=V, Vinv=Vinv, W=W,
                           Dt=Winv @ _diffusion(config) @ Winv.T, rate_sums=s[s != 0],
                           nonzero=s != 0)
 
@@ -455,8 +448,8 @@ def _decomposition(config, spec, cond, Vinv):
 def propagator(config, t):
     """The Propagator of config over time t, or over each time of a 1-D
     array t, with S_quad and Q stacked (len(t), 2n, 2n), each map bit for
-    bit the one of its own call; see `_decompose` (memoized) and
-    `_Decomposition.at`."""
+    bit the one of its own call; see `_decompose` (which keeps the working
+    set of its last solve) and `_Decomposition.at`."""
     return _decompose(config).at(t)
 
 
@@ -474,7 +467,7 @@ def drift_and_diffusion(config):
     vacuum input keeps cov = I/2 exactly, which pins D = rate * I per mode
     pair and removes any noise-normalization ambiguity.
     """
-    G = operator_to_quadrature(-1j * build_system(config).reduced,
+    G = operator_to_quadrature(-1j * _reduced_matrices([config])[0],
                                reduced_mode_kinds(config))
     return G, _diffusion(config)
 

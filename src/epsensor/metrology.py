@@ -221,6 +221,13 @@ def analytic_susceptibility(config, obs, t):
     return float(np.sqrt(2.0) * abs(alpha) * abs(dmu.imag) / k)
 
 
+def _delta_eps(config, obs, t, eta=None):
+    """delta_eps = sqrt(var(O))/|d<O>/d(eps)| of `susceptibility` and
+    `noise_variance`, the susceptibility taken first."""
+    s = susceptibility(config, obs, t, eta=eta)
+    return float(np.sqrt(noise_variance(config, obs, t, eta=eta)) / s)
+
+
 def noise_variance(config, obs, t, eta=None):
     """var(O) of the evolved state (covariance propagation), after the
     readout loss eta when given: one `_final_states` pass of one
@@ -271,10 +278,10 @@ _POINT_ERRORS = (FloatingPointError, OverflowError, np.linalg.LinAlgError, Numer
 
 def _decompose_ahead(configs):
     """Decompose all of `configs` (one size) in one stacked solve, so that
-    the point loop that follows finds each one in the memo. If the stack
-    raises, nothing is kept: each point then decomposes its own
-    configurations as a stack of one, and the error lands on the point that
-    raised it."""
+    they are the memo's working set and every later call of the point loop
+    that follows finds its configurations there. If the stack raises, the
+    memo stays as it was: each point then decomposes its own configurations
+    as a stack of one, and the error lands on the point that raised it."""
     try:
         _decompose(configs)
     except _POINT_ERRORS:
@@ -502,10 +509,7 @@ def _ep3_working_point(chi):
 
 def _ep3_point(chi):
     config, t = _ep3_working_point(chi)
-    obs = x_minus()
-    s = susceptibility(config, obs, t)
-    nz = noise_variance(config, obs, t)
-    return chi, float(np.sqrt(nz) / s)
+    return chi, _delta_eps(config, x_minus(), t)
 
 
 def _ep3_qfi_point(chi):
@@ -569,11 +573,8 @@ def feasibility_check():
     g_ratio, alpha, kappa_hz = 0.995, 100.0, 5.0e5
     config = ep3_sensor(g_ratio, alpha=alpha)
     chi = collective_rate(config)
-    t = 2.0 * np.pi / chi
-    obs = x_minus()
-    s = susceptibility(config, obs, t)
-    nz = noise_variance(config, obs, t)
-    delta = float(np.sqrt(nz) / s)
+    t = working_point_time(config)
+    delta = _delta_eps(config, x_minus(), t)
     kappa_rad = 2.0 * np.pi * kappa_hz
     delta_hz = delta * kappa_hz
     t_seconds = t / kappa_rad

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import metrology
-from .config import PERTURBATIONS, ConfigurationError, RegimeError, SystemConfig
+from .config import PERTURBATIONS, ConfigurationError, RegimeError, SystemConfig, _with
 from .gaussian import _excitations, _trace_moments, coherent_init
 from .metrology import (Observable, SensitivityReport, observable, sensitivity,
                         working_point_time)
@@ -206,12 +206,6 @@ def load_scenario(path):
 
 # ---------------------------------------------------------------------------
 # sweep plumbing
-
-def _with(config, **changes):
-    """`config` with `changes`, validated as any SystemConfig (what
-    dataclasses.replace does, without its per-field bookkeeping)."""
-    return SystemConfig(**{**vars(config), **changes})
-
 
 def _set_entry(name, index):
     def setter(config, value):

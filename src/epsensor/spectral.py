@@ -23,13 +23,13 @@ precision (backward-error test). This restores machine-accurate multiple
 eigenvalues at genuine EPs without merging genuinely split spectra.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .config import (PERTURBATIONS, ConfigurationError, NumericalError,
-                     SystemConfig, sensed_magnons)
-from .model import _reduced_matrices, build_system
+                     SystemConfig, _with, sensed_magnons)
+from .model import _reduced_matrices
 
 EPS = np.finfo(float).eps
 ABERTH_TOL = 1e-14           # relative update size at which a root has stalled
@@ -500,7 +500,7 @@ def _puiseux_perturbed(config, eps, direction):
     branch of the splitting on the positive axis), or for "coupling" pull
     the first squeezing coupling below its set point by eps."""
     if direction == "coupling":
-        return replace(config, g=(config.g[0] - eps,) + tuple(config.g[1:]))
+        return _with(config, g=(config.g[0] - eps,) + tuple(config.g[1:]))
     return config.shifted(-eps, direction)
 
 
@@ -545,7 +545,7 @@ def puiseux_fit(config, eps_grid, direction):
             f"(ep_order={base.ep_order})")
     # reference eigenvalue: center of the largest cluster
     clusters = _cluster_indices(base.eigenvalues,
-                                default_cluster_radius(build_system(config).reduced))
+                                default_cluster_radius(_reduced_matrices([config])[0]))
     big = max(clusters, key=len)
     lam0 = base.eigenvalues[big].mean()
 

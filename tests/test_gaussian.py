@@ -15,7 +15,7 @@ from epsensor import (ConfigurationError, GaussianState, NumericalError,
                       evolve, evolve_lossy, excitation_numbers, propagator,
                       readout_swap, symplectic_form, total_excitation,
                       two_mode_squeezer_coefficients, vacuum_state)
-from epsensor import ep4_locus, ep4_system, gaussian, metrology
+from epsensor import ep4_locus, ep4_system, gaussian, metrology, model
 from epsensor.gaussian import (drift_and_diffusion, evolve_lossy_trace,
                                two_mode_quadrature_map)
 from epsensor.metrology import (peak_total_excitation, scaling_fit, sensitivity,
@@ -110,6 +110,17 @@ class TestPropagator:
                 propagator(cfg, times)
             assert f"propagator not finite at t = {t:g}:" in str(err.value)
             assert rate in str(err.value)
+
+    @pytest.mark.parametrize("cfg", [ep3_sensor(1 - 1e-9, alpha=2.0),
+                                     ep3_sensor(1 - 1e-9, alpha=2.0, gamma=0.1, Gamma=0.01)],
+                             ids=["lossless", "lossy"])
+    def test_the_expm_branch_builds_no_full_matrix(self, cfg, monkeypatch):
+        # its drift is the quadrature form of the reduced matrix alone
+        monkeypatch.setattr(model, "_full_matrix",
+                            lambda config: pytest.fail("a full matrix was built"))
+        gaussian._MEMO.clear()
+        assert propagator(cfg, 3.0).method == "expm"
+        gaussian._MEMO.clear()
 
     @given(g=st.floats(0.3, 0.99), t=st.floats(0.0, 50.0))
     @settings(max_examples=40)
@@ -253,6 +264,35 @@ class TestStackedDecomposition:
         decs = gaussian._decompose([other, cfg, other])
         assert stacks == [[other]]
         assert decs[0] is decs[2] and decs[1] is first
+        gaussian._MEMO.clear()
+
+    def test_the_memo_is_the_working_set_of_its_last_solve(self, monkeypatch):
+        a, b, c = (ep3_sensor(g, alpha=2.0) for g in (0.95, 0.9, 0.85))
+        gaussian._MEMO.clear()
+        stacks = []
+        solve = gaussian.eigensolve
+        monkeypatch.setattr(gaussian, "eigensolve",
+                            lambda configs: stacks.append(configs) or solve(configs))
+        first = gaussian._decompose([a, b])
+        assert stacks == [[a, b]] and set(gaussian._MEMO) == {a, b}
+        memo = dict(gaussian._MEMO)
+        # a call that solves nothing leaves the memo as it is
+        assert gaussian._decompose(a) is first[0]
+        assert len(stacks) == 1 and gaussian._MEMO == memo
+        # a call that solves replaces it with its own configurations
+        gaussian._decompose([a, c])
+        assert stacks[1:] == [[c]] and set(gaussian._MEMO) == {a, c}
+        assert gaussian._MEMO[a] is first[0]
+        # a stack that raises leaves the memo as it was
+        memo = dict(gaussian._MEMO)
+
+        def failing(configs):
+            raise NumericalError("root iteration not finite")
+
+        monkeypatch.setattr(gaussian, "eigensolve", failing)
+        with pytest.raises(NumericalError, match="root iteration"):
+            gaussian._decompose([a, b])
+        assert gaussian._MEMO == memo
         gaussian._MEMO.clear()
 
 
@@ -452,6 +492,15 @@ class TestDecomposeOnce:
         sensitivity(cfg, x_minus(), 2 * np.pi / collective_rate(cfg))
         assert len(calls) == len(set(calls)) == 3
 
+    def test_lone_sensitivity_rows_solve_each_configuration_once(self, calls, stacks):
+        # each row solves its configured state, then its +-_qfi_step, and
+        # keeps the configured state for peak N
+        for g in (0.9, 0.93, 0.95):
+            cfg = ep3_sensor(g, alpha=2.0)
+            sensitivity(cfg, x_minus(), 2 * np.pi / collective_rate(cfg))
+        assert [len(stack) for stack in stacks] == [1, 2] * 3
+        assert len(calls) == len(set(calls)) == 9
+
     @pytest.fixture
     def propagators(self, monkeypatch):
         """The times of each gaussian.propagator call."""
@@ -511,8 +560,8 @@ class TestDecomposeOnce:
 
     @pytest.mark.parametrize("rows", [3, 20])
     def test_a_sensitivity_sweep_is_one_stack(self, calls, stacks, tmp_path, rows):
-        # each row the configured state and its +-_qfi_step; 60 configurations
-        # outnumber MEMO_SIZE, and the memo keeps the whole stack
+        # each row the configured state and its +-_qfi_step, all solved up
+        # front; the rows then find every one in the memo's working set
         scn = parse_scenario("experiment = sensitivity_sweep\ng = 0.95\nalpha = 2j, -2j\n"
                              f"sweep_param = g1\nsweep_grid = linspace:0.9:0.96:{rows}\n"
                              "time = working:1\n")

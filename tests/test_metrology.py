@@ -251,6 +251,20 @@ class TestNoise:
 
 
 class TestSensitivity:
+    @pytest.mark.parametrize("cfg, eta", [
+        (ep3_sensor(0.95, alpha=2.0), None),
+        (ep3_sensor(0.95, alpha=2.0, gamma=0.1, Gamma=0.01), 0.8),
+    ], ids=["lossless", "lossy-readout-loss"])
+    def test_delta_eps_takes_the_susceptibility_first(self, cfg, eta, monkeypatch):
+        obs, t = observable("X1-X2", 3), working_point_time(cfg)
+        expected = np.sqrt(noise_variance(cfg, obs, t, eta=eta)) \
+            / susceptibility(cfg, obs, t, eta=eta)
+        assert metrology._delta_eps(cfg, obs, t, eta) == float(expected)
+        order = []
+        monkeypatch.setattr(metrology, "susceptibility", lambda *a, **k: order.append("s") or 2.0)
+        monkeypatch.setattr(metrology, "noise_variance", lambda *a, **k: order.append("n") or 1.0)
+        assert metrology._delta_eps(cfg, obs, t, eta) == 0.5 and order == ["s", "n"]
+
     def test_working_point_report(self, sensor, chi):
         obs = observable("X1-X2", 3)
         rep = sensitivity(sensor, obs, 2 * np.pi / chi)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -11,7 +12,8 @@ from epsensor import (ConfigurationError, RegimeError, SystemConfig,
                       perturbed_eigenvalues_analytic, puiseux_fit,
                       susceptibility, susceptibility_derivatives)
 from epsensor.model import _reduced_matrices
-from epsensor.spectral import eigensolve
+from epsensor.scenarios import _sweep_setters
+from epsensor.spectral import _puiseux_perturbed, eigensolve
 
 settings.register_profile("suite", deadline=None, derandomize=True)
 settings.load_profile("suite")
@@ -393,3 +395,56 @@ class TestSensedPerturbation:
         for call in calls:
             with pytest.raises(ConfigurationError, match="direction"):
                 call()
+
+
+class TestDerivedConfigurations:
+    """A configuration derived from another (a shift, added losses, a
+    Puiseux perturbation, a sweep point) has the fields and raises the
+    errors of dataclasses.replace."""
+
+    @staticmethod
+    def _derivations(cfg):
+        """(derived, the same change through dataclasses.replace)."""
+        eps = cfg.epsilon
+        pairs = [
+            (cfg.shifted(1e-4, "same"),
+             dataclasses.replace(cfg, epsilon=tuple(e + 1e-4 for e in eps))),
+            (cfg.shifted(-1e-6, "single"),
+             dataclasses.replace(cfg, epsilon=(eps[0] - 1e-6,) + eps[1:])),
+            (cfg.with_losses(0.1, 0.01), dataclasses.replace(cfg, gamma=0.1, Gamma=0.01)),
+            (_puiseux_perturbed(cfg, 1e-6, "coupling"),
+             dataclasses.replace(cfg, g=(cfg.g[0] - 1e-6,) + cfg.g[1:])),
+            (_puiseux_perturbed(cfg, 1e-6, "same"),
+             dataclasses.replace(cfg, epsilon=tuple(e - 1e-6 for e in eps))),
+        ]
+        setters = _sweep_setters(cfg)
+        for name, value, changes in (
+                ("g1", 0.5, {"g": (0.5,) + cfg.g[1:]}),
+                ("kappa1", 0.7, {"kappa": (0.7,)}),
+                ("delta1", 0.3, {"delta": (0.3,) + cfg.delta[1:]}),
+                ("epsilon2", 2e-3, {"epsilon": (eps[0], 2e-3) + eps[2:]}),
+                ("eps_same", 2e-3, {"epsilon": (2e-3,) * len(eps)}),
+                ("gamma", 0.2, {"gamma": 0.2}),
+                ("Gamma", 0.02, {"Gamma": 0.02})):
+            pairs.append((setters[name](cfg, value), dataclasses.replace(cfg, **changes)))
+        return pairs
+
+    @pytest.mark.parametrize("cfg", [ep3_sensor(0.95, alpha=2.0, eps1=1e-3, eps2=-2e-3),
+                                     ep4_system(0.2, eps=1e-5, alpha=1.0)], ids=["ep3", "ep4"])
+    def test_each_derivation_is_replace_field_for_field(self, cfg):
+        for derived, expected in self._derivations(cfg):
+            assert type(derived) is SystemConfig
+            assert vars(derived) == vars(expected)
+            for field in dataclasses.fields(SystemConfig):
+                value = getattr(derived, field.name)
+                assert type(value) is type(getattr(expected, field.name)), field.name
+
+    def test_a_negative_rate_raises_as_replace_does(self):
+        cfg = ep3_sensor(0.95)
+        with pytest.raises(ConfigurationError) as expected:
+            dataclasses.replace(cfg, gamma=-0.1)
+        for derive in (lambda: cfg.with_losses(-0.1, 0.0),
+                       lambda: _sweep_setters(cfg)["gamma"](cfg, -0.1)):
+            with pytest.raises(ConfigurationError) as err:
+                derive()
+            assert str(err.value) == str(expected.value) == "decay rates must be >= 0"

@@ -11,7 +11,7 @@ from epsensor import (ConfigurationError, NumericalError, SystemConfig,
                       cubic_discriminant, eigensolve, ep3_sensor, ep4_locus,
                       ep4_system, match_branches, perturbed_eigenvalues_analytic,
                       puiseux_fit)
-from epsensor import spectral
+from epsensor import model, spectral
 from epsensor.spectral import (EPS, STABILITY_TOL, aberth_roots, char_poly,
                                eigenvector_residuals)
 
@@ -420,6 +420,13 @@ class TestPuiseuxFit:
     def test_needs_ep_configuration(self):
         with pytest.raises(ConfigurationError):
             puiseux_fit(ep3_sensor(0.9), self.GRID, "same")
+
+    @pytest.mark.parametrize("direction", ["same", "coupling"])
+    def test_builds_no_full_matrix(self, direction, monkeypatch):
+        # the cluster radius reads the reduced matrix alone
+        monkeypatch.setattr(model, "_full_matrix",
+                            lambda config: pytest.fail("a full matrix was built"))
+        assert puiseux_fit(ep3_sensor(1.0), self.GRID, direction).r_squared > 0.999
 
     def test_needs_enough_points(self):
         with pytest.raises(ConfigurationError):

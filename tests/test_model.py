@@ -436,8 +436,8 @@ class TestDerivedConfigurations:
             assert type(derived) is SystemConfig
             assert vars(derived) == vars(expected)
             for field in dataclasses.fields(SystemConfig):
-                value = getattr(derived, field.name)
-                assert type(value) is type(getattr(expected, field.name)), field.name
+                a, b = getattr(derived, field.name), getattr(expected, field.name)
+                assert type(a) is type(b), field.name
 
     def test_a_negative_rate_raises_as_replace_does(self):
         cfg = ep3_sensor(0.95)
